@@ -1,7 +1,6 @@
 module Grid = Testability.Grid
 module Detect = Testability.Detect
 module Matrix = Testability.Matrix
-module Netlist = Circuit.Netlist
 
 type stats = {
   rows : int;
@@ -11,6 +10,7 @@ type stats = {
   skipped : int;
   bisections : int;
   budget_exhausted : int;
+  envelope_solves : int;
 }
 
 let default_stride = 8
@@ -152,12 +152,6 @@ module Refine = struct
       degraded = !degraded }
 end
 
-(* Same order-of-magnitude cost model as Matrix.build: a warmed rank-1
-   solve is two O(n²) passes per point. The scoring estimate assumes
-   roughly a third of the points get solved — it only feeds the
-   scheduler's sequential cutoff and chunk sizing. *)
-let point_ns dim = (3.0 *. float_of_int (dim * dim)) +. 250.0
-
 let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
     ?(stride = default_stride) ?(guard = default_guard) grid views faults =
   Obs.Trace.span "adaptive.build" @@ fun () ->
@@ -172,23 +166,6 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
   let faults = Array.of_list faults in
   let n = Array.length views and m = Array.length faults in
   let nf = Grid.n_points grid in
-  (match certified with
-  | None -> ()
-  | Some cube ->
-      if
-        Array.length cube <> n
-        || Array.exists
-             (fun row ->
-               Array.length row <> m
-               || Array.exists
-                    (function
-                      | Some v -> Bytes.length v <> nf | None -> false)
-                    row)
-             cube
-      then invalid_arg "Adaptive.build: certified verdict cube shape mismatch");
-  let cert i j =
-    match certified with None -> None | Some cube -> cube.(i).(j)
-  in
   (* Uniform log grid: one step in decades, the unit of the margin
      slope bound. A single-point grid refines nothing, so 0 is fine. *)
   let step_dec =
@@ -197,130 +174,92 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
       let f = Grid.freqs_hz grid in
       Float.abs (log10 (f.(nf - 1) /. f.(0))) /. float_of_int (nf - 1)
   in
-  let has_unknown v = Bytes.exists (fun b -> b = '?') v in
-  (* Certified-cell accounting identical to Matrix.build — sequential
-     and ahead of the parallel phases, so an adaptive campaign reports
-     the same certify.* counters as the exhaustive one. *)
-  let certified_points = ref 0 in
-  (match certified with
-  | None -> ()
-  | Some cube ->
-      Array.iter
-        (fun row ->
-          Array.iter
-            (function
-              | None -> ()
-              | Some v ->
-                  let proved = ref 0 in
-                  Bytes.iter (fun b -> if b <> '?' then incr proved) v;
-                  certified_points := !certified_points + !proved;
-                  if !proved > 0 then begin
-                    Obs.Metrics.incr ~by:!proved "certify.solves_skipped";
-                    if !proved = nf then Obs.Metrics.incr "certify.cells_proved"
-                  end)
-            row)
-        cube);
-  (* Phase 1 — per-view preparation, exactly as Matrix.build: engine,
-     thresholds, warmed back-solve cache and immutable plans, so the
-     refinement phase never mutates an engine and single-point solves
-     at any grid index hit the warmed cache. *)
-  let fault_list = Array.to_list faults in
-  let prep_est =
-    let dim_proxy i = List.length (Netlist.elements views.(i).Matrix.netlist) in
-    Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        let d = float_of_int (dim_proxy i) in
-        acc +. (float_of_int nf *. d *. d *. (d +. (6.0 *. float_of_int m))))
-  in
-  let prepared =
-    Util.Parallel.map ~jobs ~est_ns:prep_est n (fun i ->
-        let view = views.(i) in
-        Obs.Trace.span ("adaptive.prepare " ^ view.Matrix.label) @@ fun () ->
-        let warm =
-          if certified = None then fault_list
-          else
-            List.filteri
-              (fun j _ ->
-                match cert i j with Some v -> has_unknown v | None -> true)
-              fault_list
-        in
-        let pv =
-          Detect.prepare_view ?backend ?criterion ~warm view.Matrix.probe grid
-            view.Matrix.netlist
-        in
-        let plans =
-          Array.mapi
-            (fun j fault ->
-              match cert i j with
-              | Some v when not (has_unknown v) -> None
-              | _ -> Some (Detect.plan_fault pv fault))
-            faults
-        in
-        (pv, plans))
-  in
-  (* Phase 2 — refine each (view × fault) row independently. A row's
-     refinement is inherently sequential (each bisection depends on the
-     verdicts before it), so the unit of parallelism is the whole row;
-     work-stealing balances rows whose boundary structure differs.
-     Per-row tallies land in caller-indexed slots — counters are
-     booked sequentially in phase 3. *)
   let verdict_rows = Array.make_matrix n m Bytes.empty in
   let row_solved = Array.make_matrix n m 0 in
   let row_bisections = Array.make_matrix n m 0 in
   let row_degraded = Array.make_matrix n m false in
-  let score_est =
-    Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        let pv, _ = prepared.(i) in
-        acc +. (float_of_int (m * nf) *. 0.4 *. point_ns (Detect.view_dim pv)))
+  let envelope_solves = ref 0 in
+  (* Phase 1, per window — {!Matrix.stream} prepares the window's views
+     (engine, thresholds, warmed back-solve cache, immutable plans),
+     exactly as for the exhaustive build, so single-point solves at any
+     grid index hit the warmed cache and never mutate an engine.
+     Phase 2 refines each of the window's (view × fault) rows
+     independently. A row's refinement is inherently sequential (each
+     bisection depends on the verdicts before it), so the unit of
+     parallelism is the whole row; work-stealing balances rows whose
+     boundary structure differs. Only the verdict row and its tallies
+     outlive the window — they land in caller-indexed slots, and
+     counters are booked sequentially in phase 3. *)
+  let score window =
+    let w = Array.length window in
+    Array.iter
+      (fun p ->
+        envelope_solves :=
+          !envelope_solves + Detect.threshold_solves p.Matrix.pv)
+      window;
+    (* Roughly a third of the points get solved, and a single-point
+       solve plus its refinement bookkeeping costs about three blocked
+       ones — so about one blocked solve per grid point. The estimate
+       only feeds the scheduler's sequential cutoff and chunk sizing. *)
+    let score_est =
+      Array.fold_left
+        (fun acc p -> acc +. (float_of_int (m * nf) *. p.Matrix.point_ns))
+        0.0 window
+    in
+    Obs.Trace.span "campaign.score" @@ fun () ->
+    Util.Parallel.for_ ~jobs ~est_ns:score_est (w * m) (fun item ->
+        let { Matrix.index = i; pv; cert; plans; _ } = window.(item / m) in
+        let j = item mod m in
+        match plans.(j) with
+        | None ->
+            (* fully certified cell: the cube row is already the verdict
+               row, nothing to solve *)
+            verdict_rows.(i).(j) <- Option.get cert.(j)
+        | Some plan ->
+            let re = Array.make nf 0.0
+            and im = Array.make nf 0.0
+            and ok = Bytes.make nf '\000' in
+            let steers = Detect.steering_profiles pv in
+            let mask = Detect.view_measurement_mask pv in
+            let solve k =
+              Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
+              let b = if Detect.point_verdict pv ~re ~im ~ok k then 'd' else 'u' in
+              (b, Detect.point_margin pv ~re ~im ~ok k)
+            in
+            (* A point below the view's measurement floor is undetectable
+               by definition ({!Detect.measurement_mask}) — a static 'u'
+               anchor exactly like a certified byte, known without
+               solving. It carries no margin, so refinement stops at it
+               rather than skipping past; a dead view (a reconfiguration
+               that disconnects the probed output) costs zero solves. *)
+            let certified_byte k =
+              if Bytes.get mask k = '\001' then 'u'
+              else match cert.(j) with None -> '?' | Some v -> Bytes.get v k
+            in
+            let steer_range lo hi =
+              List.fold_left
+                (fun acc profile ->
+                  let mn = ref infinity and mx = ref neg_infinity in
+                  for k = lo to hi do
+                    let x = profile.(k) in
+                    if x < !mn then mn := x;
+                    if x > !mx then mx := x
+                  done;
+                  Float.max acc (!mx -. !mn))
+                0.0 steers
+            in
+            let o =
+              Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
+                ~budget:solve_budget ~certified:certified_byte ~solve
+            in
+            verdict_rows.(i).(j) <- o.Refine.verdicts;
+            row_solved.(i).(j) <- List.length o.Refine.solved;
+            row_bisections.(i).(j) <- o.Refine.bisections;
+            row_degraded.(i).(j) <- o.Refine.degraded)
   in
-  Util.Parallel.for_ ~jobs ~est_ns:score_est (n * m) (fun item ->
-      let i = item / m and j = item mod m in
-      let pv, plans = prepared.(i) in
-      match plans.(j) with
-      | None ->
-          (* fully certified cell: the cube row is already the verdict
-             row, nothing to solve *)
-          verdict_rows.(i).(j) <- Option.get (cert i j)
-      | Some plan ->
-          let re = Array.make nf 0.0
-          and im = Array.make nf 0.0
-          and ok = Bytes.make nf '\000' in
-          let steers = Detect.steering_profiles pv in
-          let mask = Detect.view_measurement_mask pv in
-          let solve k =
-            Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
-            let b = if Detect.point_verdict pv ~re ~im ~ok k then 'd' else 'u' in
-            (b, Detect.point_margin pv ~re ~im ~ok k)
-          in
-          (* A point below the view's measurement floor is undetectable
-             by definition ({!Detect.measurement_mask}) — a static 'u'
-             anchor exactly like a certified byte, known without
-             solving. It carries no margin, so refinement stops at it
-             rather than skipping past; a dead view (a reconfiguration
-             that disconnects the probed output) costs zero solves. *)
-          let certified_byte k =
-            if Bytes.get mask k = '\001' then 'u'
-            else match cert i j with None -> '?' | Some v -> Bytes.get v k
-          in
-          let steer_range lo hi =
-            List.fold_left
-              (fun acc profile ->
-                let mn = ref infinity and mx = ref neg_infinity in
-                for k = lo to hi do
-                  let x = profile.(k) in
-                  if x < !mn then mn := x;
-                  if x > !mx then mx := x
-                done;
-                Float.max acc (!mx -. !mn))
-              0.0 steers
-          in
-          let o =
-            Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
-              ~budget:solve_budget ~certified:certified_byte ~solve
-          in
-          verdict_rows.(i).(j) <- o.Refine.verdicts;
-          row_solved.(i).(j) <- List.length o.Refine.solved;
-          row_bisections.(i).(j) <- o.Refine.bisections;
-          row_degraded.(i).(j) <- o.Refine.degraded);
+  let certified_points =
+    Matrix.stream ?backend ?certified ?criterion ~jobs grid views faults score
+  in
   (* Phase 3 — sequential reduce and counter booking, in row order:
      the matrix and the adaptive.* totals are jobs-deterministic. *)
   let detect = Array.make_matrix n m false in
@@ -338,7 +277,7 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
         done
       done);
   let points = n * m * nf in
-  let skipped = points - !certified_points - !solved in
+  let skipped = points - certified_points - !solved in
   if skipped > 0 then Obs.Metrics.incr ~by:skipped "adaptive.solves_skipped";
   if !bisections > 0 then Obs.Metrics.incr ~by:!bisections "adaptive.bisections";
   if !degraded_rows > 0 then
@@ -347,9 +286,10 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
     {
       rows = n * m;
       points;
-      certified = !certified_points;
+      certified = certified_points;
       solved = !solved;
       skipped;
       bisections = !bisections;
       budget_exhausted = !degraded_rows;
+      envelope_solves = !envelope_solves;
     } )

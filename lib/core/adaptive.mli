@@ -60,6 +60,11 @@ type stats = {
           [points - certified - solved] *)
   bisections : int;  (** midpoint solves beyond the coarse pass *)
   budget_exhausted : int;  (** rows degraded to the exhaustive sweep *)
+  envelope_solves : int;
+      (** point solves spent on the criterion's thresholds (one per
+          passive drift and frequency for each envelope criterion, 0
+          for fixed thresholds) — the same in an exhaustive campaign,
+          since refinement never touches them *)
 }
 
 val default_stride : int
@@ -137,11 +142,12 @@ val build :
   Testability.Matrix.t * stats
 (** Drop-in replacement for {!Testability.Matrix.build} producing
     bitwise-identical matrices from a fraction of the numeric solves.
-    Same engine preparation (warmed planar/sparse plans, one per view,
-    built in a parallel phase), but scoring fans out over (view ×
-    fault) rows, each refined sequentially by {!Refine.row} with
-    single-point {!Testability.Detect.score_range} solves against the
-    warmed read-only plans.
+    Same engine preparation ({!Testability.Matrix.stream}: warmed
+    planar/sparse plans, views streamed in windows of one view per
+    worker), but scoring fans out over each window's (view × fault)
+    rows, each refined sequentially by {!Refine.row} with single-point
+    {!Testability.Detect.score_range} solves against the warmed
+    read-only plans; only the verdict rows outlive the window.
 
     [certified] is the {!Analysis.Certify} verdict cube, exactly as
     {!Testability.Matrix.build} takes it (shape-checked, same

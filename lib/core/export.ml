@@ -136,6 +136,7 @@ let adaptive_to_json (s : Adaptive.stats) =
       ("solves_skipped", J.int s.Adaptive.skipped);
       ("bisections", J.int s.Adaptive.bisections);
       ("budget_exhausted", J.int s.Adaptive.budget_exhausted);
+      ("envelope_solves", J.int s.Adaptive.envelope_solves);
     ]
 
 let coverage_to_json (c : Testability.Montecarlo.coverage) =

@@ -6,7 +6,13 @@
    the nesting per thread id from ts/dur containment, so one flat
    buffer per domain suffices. *)
 
-type event = { name : string; ts_us : float; dur_us : float; tid : int }
+type event = {
+  name : string;
+  args : (string * string) list;
+  ts_us : float;
+  dur_us : float;
+  tid : int;
+}
 
 type buffer = {
   mutable events : event list;
@@ -26,22 +32,25 @@ let buffers : buffer Sharded.t =
 
 let tid () = (Domain.self () :> int)
 
-let record name ~t0 ~t1 =
+let record ?(args = []) name ~t0 ~t1 =
   let buf = Sharded.get buffers in
   buf.events <-
     {
       name;
+      args;
       ts_us = (t0 -. epoch) *. 1e6;
       dur_us = (t1 -. t0) *. 1e6;
       tid = tid ();
     }
     :: buf.events
 
-let span name f =
+let span ?args name f =
   if not (enabled ()) then f ()
   else begin
     let t0 = Unix.gettimeofday () in
-    Fun.protect ~finally:(fun () -> record name ~t0 ~t1:(Unix.gettimeofday ())) f
+    Fun.protect
+      ~finally:(fun () -> record ?args name ~t0 ~t1:(Unix.gettimeofday ()))
+      f
   end
 
 let begin_ name =
@@ -65,7 +74,8 @@ let events () =
   |> List.sort (fun a b -> Float.compare a.ts_us b.ts_us)
 
 (* Minimal JSON string escape — span names are code-controlled, but a
-   stray quote must not corrupt the trace file. *)
+   stray quote (or a netlist-supplied label in [args]) must not corrupt
+   the trace file. *)
 let escape s =
   let buf = Buffer.create (String.length s + 4) in
   String.iter
@@ -89,8 +99,19 @@ let export_chrome () =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "\n{\"name\":\"%s\",\"cat\":\"mcdft\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-           (escape e.name) e.tid e.ts_us e.dur_us))
+           "\n{\"name\":\"%s\",\"cat\":\"mcdft\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
+           (escape e.name) e.tid e.ts_us e.dur_us);
+      if e.args <> [] then begin
+        Buffer.add_string buf ",\"args\":{";
+        List.iteri
+          (fun k (key, v) ->
+            if k > 0 then Buffer.add_char buf ',';
+            Buffer.add_string buf
+              (Printf.sprintf "\"%s\":\"%s\"" (escape key) (escape v)))
+          e.args;
+        Buffer.add_char buf '}'
+      end;
+      Buffer.add_char buf '}')
     evs;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

@@ -7,16 +7,26 @@
     lane. Load the exported file in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto}. *)
 
-type event = { name : string; ts_us : float; dur_us : float; tid : int }
-(** One completed span: microseconds since process start, duration,
-    and the owning domain's id. *)
+type event = {
+  name : string;
+  args : (string * string) list;
+  ts_us : float;
+  dur_us : float;
+  tid : int;
+}
+(** One completed span: its stable name, its per-instance arguments
+    (empty for a plain span), microseconds since process start,
+    duration, and the owning domain's id. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-val span : string -> (unit -> 'a) -> 'a
+val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] times [f ()] as one event (recorded even on raise);
-    nests by call structure. Exactly [f ()] when disabled. *)
+    nests by call structure. Exactly [f ()] when disabled. [args]
+    carries what varies between instances of the span (a view label,
+    say) — exported as the Chrome event's ["args"] object — so [name]
+    stays one stable key per phase whatever the campaign's size. *)
 
 val begin_ : string -> unit
 (** Open a span on this domain's stack — for phases that do not fit a

@@ -69,27 +69,39 @@ type prepared = prepared_one list
 (* Envelope accumulation over the per-component process drifts. Each
    drift is a single-passive deviation — exactly a rank-1 fault for
    the campaign engine, so the whole envelope costs one back-solve per
-   (passive, frequency) instead of a full sweep per passive. A grid
-   point where a drifted good circuit has no solution mirrors the
-   naive path's Singular_circuit. *)
-let envelope_thresholds ~deviation ~floor ~respond grid netlist ~nominal
+   (passive, frequency) instead of a full sweep per passive. Warming
+   the drifts first ({!Fastsim.warm_cache}) does those back-solves as
+   one block solve per frequency; each column is bitwise equal to the
+   single solve the response would make, and a warmed entry books its
+   miss on first read, so thresholds and hit/miss totals are those of
+   the cold sweep. [sim] is lazy so a circuit without passives never
+   builds an engine. A grid point where a drifted good circuit has no
+   solution mirrors the naive path's Singular_circuit. *)
+let envelope_thresholds ~deviation ~floor ~sim grid netlist ~nominal
     ~component_tol =
   let envelope = Array.make (Grid.n_points grid) floor in
-  List.iter
-    (fun e ->
-      let element = Element.name e in
-      let response = respond (Fault.deviation ~element (1.0 +. component_tol)) in
-      Array.iteri
-        (fun i tf ->
-          match tf with
-          | Some tf -> envelope.(i) <- envelope.(i) +. deviation nominal.(i) tf
-          | None ->
-              raise
-                (Mna.Ac.Singular_circuit
-                   (Printf.sprintf "MNA matrix singular at f = %g Hz for %S"
-                      (Grid.freqs_hz grid).(i) (Netlist.title netlist))))
-        response)
-    (Netlist.passives netlist);
+  let drifts =
+    List.map
+      (fun e -> Fault.deviation ~element:(Element.name e) (1.0 +. component_tol))
+      (Netlist.passives netlist)
+  in
+  if drifts <> [] then begin
+    let sim = Lazy.force sim in
+    Fastsim.warm_cache sim drifts;
+    List.iter
+      (fun drift ->
+        Array.iteri
+          (fun i tf ->
+            match tf with
+            | Some tf -> envelope.(i) <- envelope.(i) +. deviation nominal.(i) tf
+            | None ->
+                raise
+                  (Mna.Ac.Singular_circuit
+                     (Printf.sprintf "MNA matrix singular at f = %g Hz for %S"
+                        (Grid.freqs_hz grid).(i) (Netlist.title netlist))))
+          (Fastsim.response sim drift))
+      drifts
+  end;
   envelope
 
 (* The measurement floor: a grid point whose nominal response magnitude
@@ -113,7 +125,7 @@ let measurement_mask nominal =
   Bytes.init (Array.length nominal) (fun k ->
       if Complex.norm nominal.(k) < floor_abs then '\001' else '\000')
 
-let rec prepare_raw ~respond criterion grid netlist ~nominal =
+let rec prepare_raw ~sim criterion grid netlist ~nominal =
   let magnitude_steer thresholds =
     Array.mapi
       (fun i thr -> -.(log thr +. log (Complex.norm nominal.(i))))
@@ -132,7 +144,7 @@ let rec prepare_raw ~respond criterion grid netlist ~nominal =
       [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
   | Process_envelope { component_tol; floor } ->
       let thresholds =
-        envelope_thresholds ~deviation:magnitude_dev ~floor ~respond grid netlist
+        envelope_thresholds ~deviation:magnitude_dev ~floor ~sim grid netlist
           ~nominal ~component_tol
       in
       [
@@ -141,15 +153,15 @@ let rec prepare_raw ~respond criterion grid netlist ~nominal =
       ]
   | Phase_envelope { component_tol; floor_rad } ->
       let thresholds =
-        envelope_thresholds ~deviation:phase_dev ~floor:floor_rad ~respond grid
+        envelope_thresholds ~deviation:phase_dev ~floor:floor_rad ~sim grid
           netlist ~nominal ~component_tol
       in
       [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
   | Any_of criteria ->
-      List.concat_map (fun c -> prepare_raw ~respond c grid netlist ~nominal) criteria
+      List.concat_map (fun c -> prepare_raw ~sim c grid netlist ~nominal) criteria
 
-let prepare_with ~respond criterion grid netlist ~nominal =
-  let prepared = prepare_raw ~respond criterion grid netlist ~nominal in
+let prepare_with ~sim criterion grid netlist ~nominal =
+  let prepared = prepare_raw ~sim criterion grid netlist ~nominal in
   let mask = measurement_mask nominal in
   List.iter
     (fun p ->
@@ -166,8 +178,9 @@ let prepare_with ~respond criterion grid netlist ~nominal =
 let prepare ?backend criterion probe grid netlist ~nominal =
   (* Lazy: criteria without an envelope never pay for the engine. *)
   let sim = lazy (make_sim ?backend probe grid netlist) in
-  let respond fault = Fastsim.response (Lazy.force sim) fault in
-  prepare_with ~respond criterion grid netlist ~nominal
+  prepare_with ~sim criterion grid netlist ~nominal
+
+let thresholds prepared = List.map (fun p -> p.thresholds) prepared
 
 let result_of ~nominal ~prepared grid fault faulty =
   let mask = measurement_mask nominal in
@@ -199,7 +212,7 @@ let analyze_fault ?backend ?(criterion = default_criterion) ?nominal ?prepared p
   let prepared =
     match prepared with
     | Some p -> p
-    | None -> prepare_with ~respond criterion grid netlist ~nominal
+    | None -> prepare_with ~sim criterion grid netlist ~nominal
   in
   result_of ~nominal ~prepared grid fault (respond fault)
 
@@ -215,6 +228,8 @@ type prepared_view = {
   mask : Bytes.t;
       (* measurement_mask of [nominal]: '\001' where the point is below
          the floor and therefore undetectable by definition *)
+  threshold_solves : int;
+      (* the engine's solves spent on the thresholds (envelope drifts) *)
 }
 
 let prepare_view ?backend ?(criterion = default_criterion) ?(warm = []) probe grid
@@ -223,11 +238,17 @@ let prepare_view ?backend ?(criterion = default_criterion) ?(warm = []) probe gr
      once per frequency and shared by the envelope preparation and by
      every fault's rank-1 solve. *)
   let sim = make_sim ?backend probe grid netlist in
-  let respond f = Fastsim.response sim f in
   let nominal = Fastsim.nominal sim in
-  let prepared = prepare_with ~respond criterion grid netlist ~nominal in
+  let prepared = prepare_with ~sim:(Lazy.from_val sim) criterion grid netlist ~nominal in
+  let smw, full = Fastsim.stats sim in
   if warm <> [] then Fastsim.warm_cache sim warm;
-  { sim; nominal; prepared; mask = measurement_mask nominal }
+  {
+    sim;
+    nominal;
+    prepared;
+    mask = measurement_mask nominal;
+    threshold_solves = smw + full;
+  }
 
 let analyze_prepared pv grid fault =
   result_of ~nominal:pv.nominal ~prepared:pv.prepared grid fault
@@ -245,6 +266,7 @@ let analyze_prepared pv grid fault =
    never box per-point responses. *)
 
 let view_dim pv = Fastsim.dim pv.sim
+let threshold_solves pv = pv.threshold_solves
 let view_uses_sparse pv = Fastsim.uses_sparse pv.sim
 let plan_fault pv fault = Fastsim.plan_of pv.sim fault
 
@@ -342,7 +364,7 @@ let minimal_detectable_deviation ?backend ?(criterion = default_criterion)
   let sim = make_sim ?backend probe grid netlist in
   let respond f = Fastsim.response sim f in
   let nominal = Fastsim.nominal sim in
-  let prepared = prepare_with ~respond criterion grid netlist ~nominal in
+  let prepared = prepare_with ~sim:(Lazy.from_val sim) criterion grid netlist ~nominal in
   let detectable factor =
     let fault = Fault.deviation ~element factor in
     (result_of ~nominal ~prepared grid fault (respond fault)).detectable

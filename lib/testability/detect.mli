@@ -88,6 +88,15 @@ type prepared
 val prepare :
   ?backend:Fastsim.backend ->
   criterion -> probe -> Grid.t -> Netlist.t -> nominal:Complex.t array -> prepared
+(** Instantiate [criterion] for one view. An envelope criterion builds
+    the view's engine, warms the back-solves of every passive's drift
+    pattern with one block back-solve per frequency
+    ({!Fastsim.warm_cache}), then sweeps each drift; the thresholds are
+    bitwise those of one unwarmed {!Fastsim.response} per drift. *)
+
+val thresholds : prepared -> float array list
+(** Per sub-criterion, the instantiated per-frequency thresholds ([+∞]
+    at points below the measurement floor). Do not mutate. *)
 
 val analyze_fault :
   ?backend:Fastsim.backend ->
@@ -113,7 +122,9 @@ val prepare_view :
   ?warm:Fault.t list ->
   probe -> Grid.t -> Netlist.t -> prepared_view
 (** Build the engine and thresholds for one view (default criterion
-    {!default_criterion}). When [warm] is given, the engine's
+    {!default_criterion}); an envelope criterion block-warms and sweeps
+    its drifts on the view's own engine, as {!prepare} does. When
+    [warm] is given, the engine's
     back-solve cache is prepopulated for those faults
     ({!Fastsim.warm_cache}) so that {!analyze_prepared} calls never
     mutate the engine and the view can be scored from several domains
@@ -126,6 +137,12 @@ val analyze_prepared : prepared_view -> Grid.t -> Fault.t -> result
 val view_dim : prepared_view -> int
 (** The view engine's MNA dimension ({!Fastsim.dim}) — for sizing
     campaign work estimates. *)
+
+val threshold_solves : prepared_view -> int
+(** Point solves the view's engine spent instantiating the criterion's
+    thresholds — one per (passive, frequency) for each envelope
+    criterion, 0 for fixed thresholds. Fixed at preparation time:
+    later scoring does not move it. *)
 
 val view_uses_sparse : prepared_view -> bool
 (** Whether the view's engine factored through the sparse back-end

@@ -520,20 +520,32 @@ let warm_cache t faults =
       [] faults
     |> List.rev
   in
-  if pats <> [] then
+  if pats <> [] then begin
+    (* One n×k block pair serves every frequency with the same number
+       of missing patterns: x is overwritten by each solve, and the
+       ±1 entries of b are cleared again after it. *)
+    let block = ref (0, Big.create 0 0, Big.create 0 0) in
     Array.iter
       (fun fs ->
         let missing = List.filter (fun u -> not (Hashtbl.mem fs.wcache u)) pats in
         let k = List.length missing in
         if k > 0 then begin
-          let b = Big.create t.n k and x = Big.create t.n k in
-          List.iteri
-            (fun r u ->
-              List.iter
-                (fun (i, sg) -> Big.set b i r Complex.{ re = sg; im = 0.0 })
-                u)
-            missing;
+          let b, x =
+            match !block with
+            | k', b, x when k' = k -> (b, x)
+            | _ ->
+                let b = Big.create t.n k and x = Big.create t.n k in
+                block := (k, b, x);
+                (b, x)
+          in
+          let set_rhs value =
+            List.iteri
+              (fun r u -> List.iter (fun (i, sg) -> Big.set b i r (value sg)) u)
+              missing
+          in
+          set_rhs (fun sg -> Complex.{ re = sg; im = 0.0 });
           solver_solve_block_into fs ~b ~x;
+          set_rhs (fun _ -> Complex.zero);
           List.iteri
             (fun r u ->
               let w = Bvec.create t.n in
@@ -542,6 +554,7 @@ let warm_cache t faults =
             missing
         end)
       t.freqs
+  end
 
 (* ---- point solvers ----
 

@@ -24,9 +24,11 @@ val build :
   ?certified:Bytes.t option array array ->
   ?criterion:Detect.criterion -> ?jobs:int -> Grid.t -> view list -> Fault.t list -> t
 (** Run the full fault simulation campaign: one nominal sweep plus one
-    faulty sweep per (view, fault) pair. [jobs] > 1 distributes the
-    views across that many domains (the per-view analyses are
-    independent); results are identical to a sequential run. [backend]
+    faulty sweep per (view, fault) pair. Views stream through
+    {!stream}; each window's rows are scored over (view × fault-chunk
+    × frequency-block) tasks and reduced before the next window is
+    prepared. [jobs] > 1 distributes the work across that many domains;
+    results are identical to a sequential run. [backend]
     selects the per-view factorization ({!Fastsim.backend}, default
     [Auto]).
 
@@ -43,6 +45,52 @@ val build :
     [certify.cells_proved] (fully certified cells), incremented
     sequentially before the parallel phases so they stay
     jobs-invariant. Raises [Invalid_argument] on a shape mismatch. *)
+
+type prepared = {
+  index : int;  (** the view's position in the campaign's view array *)
+  pv : Detect.prepared_view;
+      (** engine, thresholds and back-solve cache, warmed for every
+          fault the view still has to score *)
+  cert : Bytes.t option array;
+      (** the view's row of the certified verdict cube, one per fault
+          (all [None] without a cube) *)
+  plans : Fastsim.plan option array;
+      (** one per fault; [None] for a fully certified cell, which is
+          never scored *)
+  point_ns : float;
+      (** rough cost of one warmed rank-1 point solve on this view —
+          an order of magnitude for the scheduler's work estimates *)
+}
+(** One view readied for scoring: everything a campaign driver needs,
+    immutable from here on, so any number of domains may score its
+    rows concurrently. *)
+
+val stream :
+  ?backend:Fastsim.backend ->
+  ?certified:Bytes.t option array array ->
+  ?criterion:Detect.criterion ->
+  jobs:int ->
+  Grid.t ->
+  view array ->
+  Fault.t array ->
+  (prepared array -> unit) ->
+  int
+(** The per-view preparation both campaign drivers ({!build} and
+    [Core.Adaptive.build]) share. Views are walked in order, in windows
+    of [Util.Parallel.effective_jobs jobs] views: each window's views
+    are prepared in parallel ({!Detect.prepare_view} warmed for the
+    faults left to score, then the plans) and handed to the scoring
+    callback, after which the window is dropped. A view therefore
+    lives from preparation through the scoring of all its rows, and
+    peak memory is bounded by the worker count, not the number of
+    views. The callback runs on the calling domain, once per window,
+    in view order; it may fan out itself.
+
+    [certified] is checked and booked exactly as {!build} documents
+    ([certify.solves_skipped], [certify.cells_proved], sequentially
+    before any preparation). Returns the number of certified grid
+    points in the cube (0 without one). Raises [Invalid_argument] on a
+    cube shape mismatch, and like {!Detect.prepare_view}. *)
 
 val n_views : t -> int
 val n_faults : t -> int

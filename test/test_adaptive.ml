@@ -213,19 +213,26 @@ let test_cli_summary_line_format () =
   | Some l -> (
       match
         Scanf.sscanf l
-          "adaptive refinement: solved %d of %d points (%fx fewer solves, %d \
-           skipped, %d bisections"
-          (fun solved points ratio skipped bisections ->
-            (solved, points, ratio, skipped, bisections))
+          "adaptive refinement: solved %d of %d fault points + %d envelope \
+           solves (%fx fewer solves than exhaustive, %d skipped, %d \
+           bisections"
+          (fun solved points envelope ratio skipped bisections ->
+            (solved, points, envelope, ratio, skipped, bisections))
       with
       | exception Scanf.Scan_failure _ ->
           Alcotest.failf "summary line does not parse: %s" l
-      | solved, points, ratio, skipped, _ ->
+      | solved, points, envelope, ratio, skipped, _ ->
           Alcotest.(check bool) "solved <= points" true (solved <= points);
           Alcotest.(check int) "skipped = points - solved" (points - solved)
             skipped;
-          Alcotest.(check bool) "ratio consistent" true
-            (Float.abs (ratio -. (float_of_int points /. float_of_int solved))
+          (* the default envelope criterion: one drift solve per
+             passive and grid point in every configuration *)
+          Alcotest.(check bool) "envelope solves reported" true (envelope > 0);
+          Alcotest.(check bool) "ratio counts the envelope solves" true
+            (Float.abs
+               (ratio
+               -. (float_of_int (points + envelope)
+                  /. float_of_int (solved + envelope)))
              < 0.06))
 
 (* ---- tolerance-space coverage sampling ---- *)

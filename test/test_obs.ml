@@ -222,6 +222,76 @@ let test_trace_disabled_noop () =
   ignore (Trace.span "off" (fun () -> ()));
   Alcotest.(check int) "no events recorded" 0 (List.length (Trace.events ()))
 
+(* Span names are stable keys: a campaign over more views records more
+   spans, never more names. The view label travels in the span's args
+   and reaches the Chrome export. *)
+let test_trace_names_view_count_independent () =
+  let b = Circuits.Tow_thomas.make () in
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let dft = Multiconfig.Transform.make ~source ~output b.Circuits.Benchmark.netlist in
+  let views =
+    List.map
+      (fun config ->
+        {
+          Testability.Matrix.label = Multiconfig.Configuration.label config;
+          netlist = Multiconfig.Transform.emulate dft config;
+          probe = { Testability.Detect.source; output };
+        })
+      (Multiconfig.Transform.test_configurations dft)
+  in
+  let grid =
+    Testability.Grid.around ~points_per_decade:4
+      ~center_hz:b.Circuits.Benchmark.center_hz ()
+  in
+  let faults = Fault.deviation_faults b.Circuits.Benchmark.netlist in
+  let traced views =
+    Trace.reset ();
+    Trace.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.reset ())
+      (fun () ->
+        ignore (Mcdft_core.Adaptive.build grid views faults);
+        ignore (Testability.Matrix.build grid views faults);
+        (Trace.events (), Trace.export_chrome ()))
+  in
+  let names events = List.sort_uniq String.compare (List.map (fun e -> e.Trace.name) events) in
+  let one, _ = traced [ List.hd views ] in
+  let all, chrome = traced views in
+  Alcotest.(check (list string)) "same span names for 1 and all views" (names one)
+    (names all);
+  let labels =
+    List.filter_map
+      (fun e ->
+        if e.Trace.name = "campaign.view" then List.assoc_opt "view" e.Trace.args
+        else None)
+      all
+  in
+  let expected = List.map (fun v -> v.Testability.Matrix.label) views in
+  Alcotest.(check (list string)) "one campaign.view per view and driver"
+    (List.sort compare (expected @ expected))
+    (List.sort compare labels);
+  match Report.Json.of_string chrome with
+  | Error msg -> Alcotest.fail ("export is not valid JSON: " ^ msg)
+  | Ok doc -> (
+      match Report.Json.member "traceEvents" doc with
+      | Some (Report.Json.List evs) ->
+          let exported =
+            List.filter_map
+              (fun ev ->
+                match Report.Json.member "args" ev with
+                | Some args -> (
+                    match Report.Json.member "view" args with
+                    | Some (Report.Json.String l) -> Some l
+                    | _ -> None)
+                | None -> None)
+              evs
+          in
+          Alcotest.(check (list string)) "view labels exported in args"
+            (List.sort compare labels) (List.sort compare exported)
+      | _ -> Alcotest.fail "traceEvents array missing")
+
 let suite =
   [
     Alcotest.test_case "counter/histogram round-trip" `Quick
@@ -237,6 +307,8 @@ let suite =
       test_fastsim_stats_mirror;
     Alcotest.test_case "trace spans nest and export as Chrome JSON" `Quick
       test_trace_spans_and_export;
+    Alcotest.test_case "campaign span names are view-count independent" `Quick
+      test_trace_names_view_count_independent;
     Alcotest.test_case "trace lanes stay nested under concurrent emitters"
       `Quick test_trace_concurrent_emitters;
     Alcotest.test_case "trace disabled is a no-op" `Quick

@@ -224,3 +224,145 @@ let test_grid_rejects_nonpositive_density () =
 let suite =
   suite
   @ [ Alcotest.test_case "grid density guard" `Quick test_grid_rejects_nonpositive_density ]
+
+(* --- streamed campaigns and the block-warmed envelope sweep --- *)
+
+let tow_thomas_views () =
+  let b = Circuits.Tow_thomas.make () in
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let dft = Multiconfig.Transform.make ~source ~output b.Circuits.Benchmark.netlist in
+  let views =
+    List.map
+      (fun config ->
+        { Matrix.label = Multiconfig.Configuration.label config;
+          netlist = Multiconfig.Transform.emulate dft config;
+          probe = { Detect.source; output } })
+      (Multiconfig.Transform.test_configurations dft)
+  in
+  (b, views)
+
+let envelope = Detect.Process_envelope { component_tol = 0.04; floor = 0.02 }
+
+(* Every counter but the scheduler's own, with metrics on around [f]. *)
+let counters_of f =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      let v = f () in
+      ( v,
+        List.filter
+          (fun (name, _) -> not (String.starts_with ~prefix:"parallel." name))
+          (Obs.Metrics.snapshot ()).Obs.Metrics.counters ))
+
+(* Streaming prepares each view exactly once — one A(jω) fill per
+   view and grid point, whatever the window size — and the window size
+   (the worker count) moves no deterministic counter and no verdict. *)
+let test_streamed_views_prepared_once () =
+  let b, views = tow_thomas_views () in
+  let grid =
+    Grid.around ~points_per_decade:6 ~center_hz:b.Circuits.Benchmark.center_hz ()
+  in
+  let faults = Fault.deviation_faults b.Circuits.Benchmark.netlist in
+  let expected_fills = List.length views * Grid.n_points grid in
+  let drivers =
+    [
+      ( "Matrix.build",
+        fun jobs -> Matrix.build ~criterion:envelope ~jobs grid views faults );
+      ( "Adaptive.build",
+        fun jobs ->
+          fst (Mcdft_core.Adaptive.build ~criterion:envelope ~jobs grid views faults)
+      );
+    ]
+  in
+  List.iter
+    (fun (what, build) ->
+      let m1, c1 = counters_of (fun () -> build 1) in
+      let m2, c2 = counters_of (fun () -> build 2) in
+      Alcotest.(check int)
+        (what ^ ": mna.fills = views × grid points")
+        expected_fills
+        (Option.value ~default:0 (List.assoc_opt "mna.fills" c1));
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": counters, jobs:1 vs jobs:2") c1 c2;
+      Alcotest.(check bool) (what ^ ": detect, jobs:1 vs jobs:2") true
+        (m1.Matrix.detect = m2.Matrix.detect);
+      Alcotest.(check bool) (what ^ ": omega, jobs:1 vs jobs:2") true
+        (m1.Matrix.omega = m2.Matrix.omega))
+    drivers
+
+(* The envelope sweep warms its drift back-solves in blocks before it
+   responds. Its thresholds must be bitwise those of the plain sweep —
+   one Fastsim.response per drift on a cold engine — and the back-solve
+   cache must book the same hits and misses. *)
+let check_envelope_warm ~what ~backend probe grid netlist =
+  let tol = 0.04 and floor = 0.02 in
+  let criterion = Detect.Process_envelope { component_tol = tol; floor } in
+  let cold () =
+    let sim =
+      Testability.Fastsim.create ~backend ~source:probe.Detect.source
+        ~output:probe.Detect.output ~freqs_hz:(Grid.freqs_hz grid) netlist
+    in
+    let nominal = Testability.Fastsim.nominal sim in
+    let env = Array.make (Grid.n_points grid) floor in
+    List.iter
+      (fun e ->
+        let drift =
+          Fault.deviation ~element:(Circuit.Element.name e) (1.0 +. tol)
+        in
+        let faulty = Array.map Option.get (Testability.Fastsim.response sim drift) in
+        Array.iteri
+          (fun i d -> env.(i) <- env.(i) +. d)
+          (Detect.response_deviation ~nominal ~faulty))
+      (Netlist.passives netlist);
+    let mask = Detect.measurement_mask nominal in
+    Array.mapi (fun i t -> if Bytes.get mask i = '\001' then infinity else t) env
+  in
+  let warmed () =
+    let sim =
+      Testability.Fastsim.create ~backend ~source:probe.Detect.source
+        ~output:probe.Detect.output ~freqs_hz:(Grid.freqs_hz grid) netlist
+    in
+    let nominal = Testability.Fastsim.nominal sim in
+    match
+      Detect.thresholds (Detect.prepare ~backend criterion probe grid netlist ~nominal)
+    with
+    | [ t ] -> t
+    | _ -> Alcotest.fail "one envelope criterion, one threshold row"
+  in
+  let cache c = List.filter (fun (n, _) -> String.starts_with ~prefix:"fastsim.wcache" n) c in
+  let reference, c_cold = counters_of cold in
+  let thresholds, c_warm = counters_of warmed in
+  Alcotest.(check (array int64))
+    (what ^ ": thresholds bitwise")
+    (Array.map Int64.bits_of_float reference)
+    (Array.map Int64.bits_of_float thresholds);
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": wcache hits/misses") (cache c_cold) (cache c_warm);
+  Alcotest.(check bool) (what ^ ": the cache was exercised") true (cache c_warm <> [])
+
+let test_envelope_warm_bitwise () =
+  let b = Circuits.Tow_thomas.make () in
+  check_envelope_warm ~what:"tow-thomas dense" ~backend:Testability.Fastsim.Dense
+    { Detect.source = b.Circuits.Benchmark.source; output = b.Circuits.Benchmark.output }
+    (Grid.around ~points_per_decade:10 ~center_hz:b.Circuits.Benchmark.center_hz ())
+    b.Circuits.Benchmark.netlist;
+  let netlist, output =
+    Conformance.Gen.bigladder ~stages:60 (Random.State.make [| 7 |])
+  in
+  check_envelope_warm ~what:"bigladder sparse" ~backend:Testability.Fastsim.Sparse
+    { Detect.source = "V1"; output }
+    (Grid.around ~points_per_decade:3 ~center_hz:10_000.0 ())
+    netlist
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "streamed views are prepared once, jobs-invariant" `Quick
+        test_streamed_views_prepared_once;
+      Alcotest.test_case "block-warmed envelope = cold sweep, bitwise" `Quick
+        test_envelope_warm_bitwise;
+    ]
