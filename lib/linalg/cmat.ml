@@ -595,15 +595,6 @@ module Big = struct
       Array1.unsafe_set dim k (im_scale *. Array.unsafe_get im k)
     done
 
-  let col_into m ~c (v : Vec.t) =
-    if c < 0 || c >= m.ncols || Vec.length v <> m.nrows then
-      invalid_arg "Cmat.Big.col_into: dimension mismatch";
-    let nc = m.ncols in
-    for i = 0 to m.nrows - 1 do
-      Array1.unsafe_set v.Vec.re i (Array1.unsafe_get m.re ((i * nc) + c));
-      Array1.unsafe_set v.Vec.im i (Array1.unsafe_get m.im ((i * nc) + c))
-    done
-
   let norm_inf m =
     let acc = ref 0.0 in
     for i = 0 to m.nrows - 1 do
@@ -631,6 +622,89 @@ module Big = struct
       for k = 0 to nc - 1 do
         let are = Array1.unsafe_get mre (row + k)
         and aim = Array1.unsafe_get mim (row + k)
+        and vre = Array1.unsafe_get xre k
+        and vim = Array1.unsafe_get xim k in
+        acc_re := !acc_re +. ((are *. vre) -. (aim *. vim));
+        acc_im := !acc_im +. ((are *. vim) +. (aim *. vre))
+      done;
+      Array1.unsafe_set y.Vec.re i !acc_re;
+      Array1.unsafe_set y.Vec.im i !acc_im
+    done
+
+  (* Compressed rows of a square matrix: every entry that is not +0 in
+     both planes, row by row in column order — a −0 entry is kept, so
+     {!csr_dense_into} rebuilds the matrix bit for bit. Built in two
+     passes (count, then fill) so no intermediate list is ever
+     allocated. *)
+  type index = (int, int_elt, c_layout) Array1.t
+
+  type csr = { cn : int; rowptr : index; colidx : index; vre : plane; vim : plane }
+
+  (* Whether an entry is stored: not +0 in both planes. The reciprocal
+     tells the zeros apart (1/+0 = +∞, 1/−0 = −∞) without a C call,
+     and inlining keeps the floats unboxed. *)
+  let[@inline always] stored re im =
+    re <> 0.0 || im <> 0.0 || 1.0 /. re < 0.0 || 1.0 /. im < 0.0
+
+  let csr_of m =
+    if m.nrows <> m.ncols then invalid_arg "Cmat.Big.csr_of: non-square matrix";
+    let n = m.nrows in
+    let mre = m.re and mim = m.im in
+    let rowptr = Array1.create Int C_layout (n + 1) in
+    let nnz = ref 0 in
+    for i = 0 to n - 1 do
+      Array1.unsafe_set rowptr i !nnz;
+      for k = i * n to (i * n) + n - 1 do
+        if stored (Array1.unsafe_get mre k) (Array1.unsafe_get mim k) then incr nnz
+      done
+    done;
+    Array1.unsafe_set rowptr n !nnz;
+    let colidx = Array1.create Int C_layout !nnz in
+    let vre = Array1.create Float64 C_layout !nnz
+    and vim = Array1.create Float64 C_layout !nnz in
+    let p = ref 0 in
+    for k = 0 to (n * n) - 1 do
+      let re = Array1.unsafe_get mre k and im = Array1.unsafe_get mim k in
+      if stored re im then begin
+        Array1.unsafe_set colidx !p (k mod n);
+        Array1.unsafe_set vre !p re;
+        Array1.unsafe_set vim !p im;
+        incr p
+      end
+    done;
+    { cn = n; rowptr; colidx; vre; vim }
+
+  let csr_nnz c = Array1.dim c.colidx
+
+  let csr_dense_into c m =
+    if m.nrows <> c.cn || m.ncols <> c.cn then
+      invalid_arg "Cmat.Big.csr_dense_into: dimension mismatch";
+    Array1.fill m.re 0.0;
+    Array1.fill m.im 0.0;
+    for i = 0 to c.cn - 1 do
+      for p = Array1.unsafe_get c.rowptr i to Array1.unsafe_get c.rowptr (i + 1) - 1 do
+        let k = (i * c.cn) + Array1.unsafe_get c.colidx p in
+        Array1.unsafe_set m.re k (Array1.unsafe_get c.vre p);
+        Array1.unsafe_set m.im k (Array1.unsafe_get c.vim p)
+      done
+    done
+
+  (* The loop body is {!mul_vec_into}'s with the both-planes-+0
+     terms skipped. For finite x each skipped term is ±0; an
+     accumulator that starts at +0 never becomes −0 in
+     round-to-nearest, and adding ±0 to any other value leaves it
+     unchanged — so every row is bitwise the dense one. *)
+  let csr_mul_vec_into c ~(x : Vec.t) ~(y : Vec.t) =
+    if c.cn <> Vec.length x || c.cn <> Vec.length y then
+      invalid_arg "Cmat.Big.csr_mul_vec_into: dimension mismatch";
+    let rowptr = c.rowptr and colidx = c.colidx and mre = c.vre and mim = c.vim in
+    let xre = x.Vec.re and xim = x.Vec.im in
+    for i = 0 to c.cn - 1 do
+      let acc_re = ref 0.0 and acc_im = ref 0.0 in
+      for p = Array1.unsafe_get rowptr i to Array1.unsafe_get rowptr (i + 1) - 1 do
+        let k = Array1.unsafe_get colidx p in
+        let are = Array1.unsafe_get mre p
+        and aim = Array1.unsafe_get mim p
         and vre = Array1.unsafe_get xre k
         and vim = Array1.unsafe_get xim k in
         acc_re := !acc_re +. ((are *. vre) -. (aim *. vim));

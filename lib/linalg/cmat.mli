@@ -185,14 +185,34 @@ module Big : sig
   (** As the heap {!fill_parts}: overwrite row-major with
       [re.(k) + i·im_scale·im.(k)] in one fused pass. *)
 
-  val col_into : t -> c:int -> Vec.t -> unit
-  (** [col_into m ~c v] copies column [c] of [m] into [v] — extracts
-      one right-hand side / solution from a multi-RHS block. *)
-
   val norm_inf : t -> float
 
   val mul_vec_into : t -> x:Vec.t -> y:Vec.t -> unit
   (** [y <- A·x], zero allocation; [x] and [y] must be distinct. *)
+
+  type csr
+  (** A compressed-row copy of a square matrix: row pointers, column
+      indices and re/im values of every entry that is not +0 in both
+      planes (a −0 entry is kept, so the copy is lossless). *)
+
+  val csr_of : t -> csr
+  (** Compress a square matrix (two passes, no intermediate lists).
+      Raises [Invalid_argument] on a non-square matrix. *)
+
+  val csr_nnz : csr -> int
+  (** Number of stored entries. *)
+
+  val csr_dense_into : csr -> t -> unit
+  (** Overwrite a square matrix of the same dimension with the
+      compressed one — bitwise the matrix {!csr_of} read. *)
+
+  val csr_mul_vec_into : csr -> x:Vec.t -> y:Vec.t -> unit
+  (** [y <- A·x] in O(nnz + n). For an [x] whose entries are all
+      finite the result is bitwise {!mul_vec_into}'s on the source
+      matrix: each row adds the same products in the same column
+      order, and a skipped term is ±0, which leaves an accumulator
+      that starts at +0 unchanged. A non-finite [x] entry can differ
+      (the dense loop forms 0·∞ = NaN). [x] and [y] must be distinct. *)
 
   type lu
   (** A reusable LU workspace. Unlike the heap {!lu_factor} (which

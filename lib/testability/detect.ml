@@ -57,11 +57,14 @@ let make_sim ?backend probe grid netlist =
    −log threshold, plus −log |H₀| for the magnitude deviations (which
    normalize by the nominal). The adaptive campaign driver subtracts
    it to bound how fast margins can move between grid points; it never
-   affects a verdict. *)
+   affects a verdict. [chord_steer] is set for the phase deviations
+   only: the static part of their chord bound (see {!point_margin}),
+   −log |H₀| − log sin(min threshold π/2). *)
 type prepared_one = {
   deviation : Complex.t -> Complex.t -> float;
   thresholds : float array;
   steer : float array;
+  chord_steer : float array option;
 }
 
 type prepared = prepared_one list
@@ -74,12 +77,15 @@ type prepared = prepared_one list
    one block solve per frequency; each column is bitwise equal to the
    single solve the response would make, and a warmed entry books its
    miss on first read, so thresholds and hit/miss totals are those of
-   the cold sweep. [sim] is lazy so a circuit without passives never
-   builds an engine. A grid point where a drifted good circuit has no
-   solution mirrors the naive path's Singular_circuit. *)
+   the cold sweep. Every drift is swept into one reused planar row
+   ({!Fastsim.response_range_into}), so no point boxes a response.
+   [sim] is lazy so a circuit without passives never builds an
+   engine. A grid point where a drifted good circuit has no solution
+   mirrors the naive path's Singular_circuit. *)
 let envelope_thresholds ~deviation ~floor ~sim grid netlist ~nominal
     ~component_tol =
-  let envelope = Array.make (Grid.n_points grid) floor in
+  let nf = Grid.n_points grid in
+  let envelope = Array.make nf floor in
   let drifts =
     List.map
       (fun e -> Fault.deviation ~element:(Element.name e) (1.0 +. component_tol))
@@ -88,18 +94,20 @@ let envelope_thresholds ~deviation ~floor ~sim grid netlist ~nominal
   if drifts <> [] then begin
     let sim = Lazy.force sim in
     Fastsim.warm_cache sim drifts;
+    let re = Array.make nf 0.0 and im = Array.make nf 0.0 and ok = Bytes.make nf '\000' in
     List.iter
       (fun drift ->
-        Array.iteri
-          (fun i tf ->
-            match tf with
-            | Some tf -> envelope.(i) <- envelope.(i) +. deviation nominal.(i) tf
-            | None ->
-                raise
-                  (Mna.Ac.Singular_circuit
-                     (Printf.sprintf "MNA matrix singular at f = %g Hz for %S"
-                        (Grid.freqs_hz grid).(i) (Netlist.title netlist))))
-          (Fastsim.response sim drift))
+        Fastsim.response_range_into sim (Fastsim.plan_of sim drift) ~lo:0 ~hi:nf ~re ~im
+          ~ok;
+        for i = 0 to nf - 1 do
+          if Bytes.get ok i = '\000' then
+            raise
+              (Mna.Ac.Singular_circuit
+                 (Printf.sprintf "MNA matrix singular at f = %g Hz for %S"
+                    (Grid.freqs_hz grid).(i) (Netlist.title netlist)));
+          envelope.(i) <-
+            envelope.(i) +. deviation nominal.(i) { Complex.re = re.(i); im = im.(i) }
+        done)
       drifts
   end;
   envelope
@@ -125,38 +133,52 @@ let measurement_mask nominal =
   Bytes.init (Array.length nominal) (fun k ->
       if Complex.norm nominal.(k) < floor_abs then '\001' else '\000')
 
+(* The chord |H_f − H₀|/|H₀| = |r − 1|, r = H_f/H₀, bounds the phase
+   deviation |arg r|: a point at angle θ from the positive real axis
+   lies at least sin θ (θ ≤ π/2), else 1, away from 1. So a phase
+   deviation above [thr] needs a chord above [chord_level thr]. *)
+let chord_level thr = sin (Float.min thr (Float.pi /. 2.0))
+
+let chord nominal tf = Complex.norm (Complex.sub tf nominal) /. Complex.norm nominal
+
 let rec prepare_raw ~sim criterion grid netlist ~nominal =
   let magnitude_steer thresholds =
     Array.mapi
       (fun i thr -> -.(log thr +. log (Complex.norm nominal.(i))))
       thresholds
   in
-  let phase_steer thresholds = Array.map (fun thr -> -.log thr) thresholds in
+  let magnitude thresholds =
+    { deviation = magnitude_dev; thresholds; steer = magnitude_steer thresholds;
+      chord_steer = None }
+  in
+  let phase thresholds =
+    {
+      deviation = phase_dev;
+      thresholds;
+      steer = Array.map (fun thr -> -.log thr) thresholds;
+      chord_steer =
+        Some
+          (Array.mapi
+             (fun i thr ->
+               -.(log (chord_level thr) +. log (Complex.norm nominal.(i))))
+             thresholds);
+    }
+  in
   match criterion with
-  | Fixed_tolerance eps ->
-      let thresholds = Array.make (Grid.n_points grid) eps in
-      [
-        { deviation = magnitude_dev; thresholds;
-          steer = magnitude_steer thresholds };
-      ]
-  | Phase_fixed rad ->
-      let thresholds = Array.make (Grid.n_points grid) rad in
-      [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
+  | Fixed_tolerance eps -> [ magnitude (Array.make (Grid.n_points grid) eps) ]
+  | Phase_fixed rad -> [ phase (Array.make (Grid.n_points grid) rad) ]
   | Process_envelope { component_tol; floor } ->
-      let thresholds =
-        envelope_thresholds ~deviation:magnitude_dev ~floor ~sim grid netlist
-          ~nominal ~component_tol
-      in
       [
-        { deviation = magnitude_dev; thresholds;
-          steer = magnitude_steer thresholds };
+        magnitude
+          (envelope_thresholds ~deviation:magnitude_dev ~floor ~sim grid netlist
+             ~nominal ~component_tol);
       ]
   | Phase_envelope { component_tol; floor_rad } ->
-      let thresholds =
-        envelope_thresholds ~deviation:phase_dev ~floor:floor_rad ~sim grid
-          netlist ~nominal ~component_tol
-      in
-      [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
+      [
+        phase
+          (envelope_thresholds ~deviation:phase_dev ~floor:floor_rad ~sim grid
+             netlist ~nominal ~component_tol);
+      ]
   | Any_of criteria ->
       List.concat_map (fun c -> prepare_raw ~sim c grid netlist ~nominal) criteria
 
@@ -169,7 +191,8 @@ let prepare_with ~sim criterion grid netlist ~nominal =
         (fun k b ->
           if b = '\001' then begin
             p.thresholds.(k) <- infinity;
-            p.steer.(k) <- neg_infinity
+            p.steer.(k) <- neg_infinity;
+            Option.iter (fun c -> c.(k) <- neg_infinity) p.chord_steer
           end)
         mask)
     prepared;
@@ -315,23 +338,41 @@ let point_verdict pv ~re ~im ~ok i =
       (fun p -> p.deviation pv.nominal.(i) tf > p.thresholds.(i))
       pv.prepared
 
-let steering_profiles pv = List.map (fun p -> p.steer) pv.prepared
+let steering_profiles pv =
+  List.concat_map (fun p -> p.steer :: Option.to_list p.chord_steer) pv.prepared
 let view_measurement_mask pv = pv.mask
 
+(* A phase deviation has no slope bound: where an undamped (or barely
+   damped) resonance of the nominal and of the faulty response sit on
+   either side of a grid point, arg jumps by π there while both
+   phases agree to round-off everywhere else — margins of −∞ or
+   ~−33 nepers a single grid step from a detection. At an undetected
+   point the phase sub-criteria therefore also report their chord
+   bound (see {!chord_level}), a rational function of jω that moves as
+   smoothly as the magnitude deviations do: the point counts as far
+   from detection only if the chord is far below its level too, and a
+   chord at or above it leaves no margin at all. A detected point, and
+   every magnitude sub-criterion, keeps the plain ratio. *)
 let point_margin pv ~re ~im ~ok i =
   if Bytes.get pv.mask i = '\001' then Float.neg_infinity
   else if Bytes.get ok i = '\000' then Float.nan
   else
+    let nominal = pv.nominal.(i) in
     let tf = { Complex.re = re.(i); im = im.(i) } in
+    let ratio_of dev thr =
+      if thr > 0.0 then dev /. thr else if dev > 0.0 then infinity else 1.0
+    in
+    let detected = point_verdict pv ~re ~im ~ok i in
     let ratio =
       List.fold_left
         (fun acc p ->
-          let dev = p.deviation pv.nominal.(i) tf in
           let thr = p.thresholds.(i) in
+          let r = ratio_of (p.deviation nominal tf) thr in
           let r =
-            if thr > 0.0 then dev /. thr
-            else if dev > 0.0 then infinity
-            else 1.0
+            match p.chord_steer with
+            | Some _ when not detected ->
+                Float.min 1.0 (Float.max r (ratio_of (chord nominal tf) (chord_level thr)))
+            | _ -> r
           in
           Float.max acc r)
         0.0 pv.prepared

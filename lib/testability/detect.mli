@@ -204,7 +204,12 @@ val point_margin :
     [true], except for a failed solve (verdict [true]) which returns
     [nan] — a refinement driver must treat such a point as carrying no
     margin information ([-∞] marks a zero deviation or a point below
-    the measurement floor). The adaptive driver steers refinement with
+    the measurement floor). At an undetected point a phase criterion
+    reports the larger of its ratio and its chord bound
+    |H_f − H₀| / (|H₀|·sin(min threshold π/2)), capped at 1 (margin 0):
+    the phase deviation can jump by π between grid points, and only
+    the chord, which every phase detection must push above that level,
+    moves smoothly. The adaptive driver steers refinement with
     it — an interval whose endpoint margins are jointly far from zero
     relative to its width cannot hide a threshold crossing under the
     driver's slope bound. Steering only: verdicts always come from
@@ -214,7 +219,8 @@ val steering_profiles : prepared_view -> float array list
 (** Per prepared sub-criterion, the statically known part of the
     {!point_margin} log at every grid point: [-log threshold], plus
     [-log |H₀|] for magnitude deviations (they normalize by the
-    nominal). The residual — the margin minus its profile — moves as
+    nominal); a phase sub-criterion adds a second profile for its
+    chord bound, [-log |H₀| - log sin(min threshold π/2)]. The residual — the margin minus its profile — moves as
     slowly as the faulty response itself, so a refinement driver can
     bound margin excursions by a response slope bound {e plus} the
     profile's exactly-known variation. [-∞]/[+∞] entries mark

@@ -28,21 +28,25 @@ type cls =
   | Rank_one of rank1
   | Structural of Netlist.t  (* full path on the injected netlist *)
 
-(* One cached A⁻¹u back-solve. [fresh] lets {!warm_cache} prepopulate
-   the table without disturbing the hit/miss accounting: a warmed
-   entry is "fresh" until its first reader, who claims it with a CAS
-   and books the one miss the lazy path would have booked at insertion
-   time. The claim is exactly-once even when workers race, so the
-   counter totals are schedule-invariant. *)
-type wentry = { w : Bvec.t; fresh : bool Atomic.t }
+(* One cached A⁻¹u back-solve: w occupies [wre]/[wim] at offsets
+   [off .. off+n-1]. {!warm_cache} stores every pattern of a frequency
+   in one shared slab (pattern r at offset r·n); a lazily inserted
+   entry owns its planes at offset 0. [fresh] lets {!warm_cache}
+   prepopulate the table without disturbing the hit/miss accounting:
+   a warmed entry is "fresh" until its first reader, who claims it
+   with a CAS and books the one miss the lazy path would have booked
+   at insertion time. The claim is exactly-once even when workers
+   race, so the counter totals are schedule-invariant. *)
+type wentry = { wre : Big.plane; wim : Big.plane; off : int; fresh : bool Atomic.t }
 
-(* The factored fault-free system at one frequency. The dense arm
-   keeps the assembled A(jω) for residuals and perturbed-copy
-   fallbacks; the sparse arm keeps only the nnz value planes plus the
-   sparse factors — O(nnz + fill) per frequency instead of O(n²) —
-   and densifies on demand for the rare full fallback. *)
+(* The factored fault-free system at one frequency. Besides its
+   factors, each arm keeps A(jω) only in compressed form — the dense
+   arm a lossless compressed-row copy (an MNA matrix is mostly zeros:
+   a leapfrog5 view holds 75–82 nonzeros out of 676), the sparse arm
+   the nnz value planes of its pattern — which serves the residual
+   gate and is densified on demand for the rare full fallback. *)
 type solver =
-  | Dense_solver of { da : Big.t; dlu : Big.lu }
+  | Dense_solver of { dcsr : Big.csr; dlu : Big.lu }
   | Sparse_solver of {
       spat : Csparse.pattern;
       sre : Csparse.plane;  (* A(jω) values, slot order of [spat] *)
@@ -63,7 +67,10 @@ type freq_state = {
 
 (* Backend dispatch for the four operations the solve paths need. The
    residual gate downstream makes the two arms interchangeable: both
-   produce solutions the gate re-verifies against the same A(jω). *)
+   produce solutions the gate re-verifies against the same A(jω).
+   Both residual products visit only stored entries; the dense arm's
+   is bitwise the full dense product for the finite candidates the
+   gate admits (see {!Linalg.Cmat.Big.csr_mul_vec_into}). *)
 
 let solver_solve_into fs ~b ~x =
   match fs.solver with
@@ -77,7 +84,7 @@ let solver_solve_block_into fs ~b ~x =
 
 let solver_mul_vec_into fs ~x ~y =
   match fs.solver with
-  | Dense_solver { da; _ } -> Big.mul_vec_into da ~x ~y
+  | Dense_solver { dcsr; _ } -> Big.csr_mul_vec_into dcsr ~x ~y
   | Sparse_solver { spat; sre; sim_; _ } ->
       Csparse.mul_vec_into spat ~re:sre ~im:sim_ ~x ~y
 
@@ -85,7 +92,7 @@ let solver_mul_vec_into fs ~x ~y =
    fallback's starting point). *)
 let solver_dense_into fs dst =
   match fs.solver with
-  | Dense_solver { da; _ } -> Big.blit ~src:da ~dst
+  | Dense_solver { dcsr; _ } -> Big.csr_dense_into dcsr dst
   | Sparse_solver { spat; sre; sim_; _ } -> Csparse.dense_into spat ~re:sre ~im:sim_ dst
 
 type t = {
@@ -258,10 +265,13 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
         let stamps =
           Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist
         in
+        (* One assembly workspace for the sweep: every fill overwrites
+           it whole, and each frequency keeps only its factors and a
+           compressed copy. *)
+        let a = Big.create n n in
         Array.map
           (fun f_hz ->
             let omega = 2.0 *. Float.pi *. f_hz in
-            let a = Big.create n n in
             Mna.Stamps.fill_big stamps ~omega a;
             let b = Bvec.create n in
             Mna.Stamps.rhs_into_big stamps ~omega b;
@@ -273,7 +283,7 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
                 {
                   omega;
                   f_hz;
-                  solver = Dense_solver { da = a; dlu = lu };
+                  solver = Dense_solver { dcsr = Big.csr_of a; dlu = lu };
                   anorm = Big.norm_inf a;
                   b;
                   bnorm = Bvec.norm_inf b;
@@ -454,14 +464,17 @@ let plan_of t fault =
 
 (* ---- rank-1 solves ---- *)
 
-(* Pattern dot product against one plane: Σ s·plane.(i). The complex
-   dot against a planar vector is two of these, one per plane. *)
-let rec dot_pat (pat : pat) (plane : Big.plane) acc =
+(* Pattern dot product against one plane read from offset [off]:
+   Σ s·plane.(off + i). The complex dot against a planar vector is two
+   of these, one per plane. *)
+let rec dot_pat_from (pat : pat) (plane : Big.plane) off acc =
   match pat with
   | [] -> acc
-  | (i, s) :: tl -> dot_pat tl plane (acc +. (s *. Bigarray.Array1.unsafe_get plane i))
+  | (i, s) :: tl ->
+      dot_pat_from tl plane off (acc +. (s *. Bigarray.Array1.unsafe_get plane (off + i)))
 
-let dot_pat pat plane = dot_pat pat plane 0.0
+let dot_pat_at pat plane off = dot_pat_from pat plane off 0.0
+let dot_pat pat plane = dot_pat_from pat plane 0 0.0
 
 (* (nr + i·ni) / (dr + i·di) — Smith's algorithm, exactly Complex.div. *)
 let div2 nr ni dr di =
@@ -493,21 +506,25 @@ let w_for t fs u =
       if Atomic.get e.fresh && Atomic.compare_and_set e.fresh true false then
         p.p_misses <- p.p_misses + 1
       else p.p_hits <- p.p_hits + 1;
-      e.w
+      e
   | None ->
       let p = pend_for t s in
       p.p_misses <- p.p_misses + 1;
       let w = Bvec.create (Bvec.length fs.x0) in
       solve_pattern fs u w;
-      Hashtbl.add fs.wcache u { w; fresh = Atomic.make false };
-      w
+      let e = { wre = w.Bvec.re; wim = w.Bvec.im; off = 0; fresh = Atomic.make false } in
+      Hashtbl.add fs.wcache u e;
+      e
 
 (* Warm the A⁻¹u cache with one multi-RHS block back-solve per
    frequency: every missing pattern at that frequency becomes a column
    of one n×k block, so the cached LU factor is swept once per
    frequency instead of once per (pattern, frequency). Column results
    are bitwise-identical to the per-pattern {!solve_pattern} path
-   (see {!Linalg.Cmat.Big.lu_solve_block_into}). *)
+   (see {!Linalg.Cmat.Big.lu_solve_block_into}). The block is then
+   transposed into one k×n slab per frequency, so each w stays
+   contiguous for the point solves at two off-heap allocations per
+   frequency rather than two per pattern. *)
 let warm_cache t faults =
   Obs.Trace.span "fastsim.warm_cache" @@ fun () ->
   let pats =
@@ -546,15 +563,38 @@ let warm_cache t faults =
           set_rhs (fun sg -> Complex.{ re = sg; im = 0.0 });
           solver_solve_block_into fs ~b ~x;
           set_rhs (fun _ -> Complex.zero);
+          let n = t.n in
+          let slab = Bvec.create (k * n) in
+          let xre = Big.re_plane x and xim = Big.im_plane x in
+          let open Bigarray in
+          for i = 0 to n - 1 do
+            for r = 0 to k - 1 do
+              Array1.unsafe_set slab.Bvec.re ((r * n) + i) (Array1.unsafe_get xre ((i * k) + r));
+              Array1.unsafe_set slab.Bvec.im ((r * n) + i) (Array1.unsafe_get xim ((i * k) + r))
+            done
+          done;
           List.iteri
             (fun r u ->
-              let w = Bvec.create t.n in
-              Big.col_into x ~c:r w;
-              Hashtbl.add fs.wcache u { w; fresh = Atomic.make true })
+              Hashtbl.add fs.wcache u
+                { wre = slab.Bvec.re; wim = slab.Bvec.im; off = r * n; fresh = Atomic.make true })
             missing
         end)
       t.freqs
   end
+
+let cached_w t fault i =
+  match classify t fault with
+  | Rank_one { u; _ } -> (
+      match Hashtbl.find_opt t.freqs.(i).wcache u with
+      | None -> None
+      | Some { wre; wim; off; _ } ->
+          Some
+            (Array.init t.n (fun k ->
+                 {
+                   Complex.re = Bigarray.Array1.get wre (off + k);
+                   im = Bigarray.Array1.get wim (off + k);
+                 })))
+  | Unchanged | Structural _ -> None
 
 (* ---- point solvers ----
 
@@ -615,12 +655,23 @@ let smw_tolerance = 1e-9
 let chaos : [ `None | `Smw_denominator of float ] Atomic.t = Atomic.make `None
 let set_chaos c = Atomic.set chaos c
 
+(* Whether every entry of [v] is finite: x − x is 0 for a finite x
+   and NaN for ±∞ or NaN, and a NaN term keeps the sum NaN. *)
+let all_finite (v : Bvec.t) =
+  let vre = v.Bvec.re and vim = v.Bvec.im in
+  let acc = ref 0.0 in
+  for i = 0 to Bvec.length v - 1 do
+    let r = Bigarray.Array1.unsafe_get vre i and m = Bigarray.Array1.unsafe_get vim i in
+    acc := !acc +. (r -. r) +. (m -. m)
+  done;
+  !acc = 0.0
+
 let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
   let al_re = alpha_g and al_im = fs.omega *. alpha_c in
   if al_re = 0.0 && al_im = 0.0 then write_out t fs.x0 ~re ~im ~ok ~ix
   else begin
-    let w = w_for t fs u in
-    let vw_re = dot_pat v w.Bvec.re and vw_im = dot_pat v w.Bvec.im in
+    let { wre; wim; off; _ } = w_for t fs u in
+    let vw_re = dot_pat_at v wre off and vw_im = dot_pat_at v wim off in
     let den_re = 1.0 +. ((al_re *. vw_re) -. (al_im *. vw_im))
     and den_im = (al_re *. vw_im) +. (al_im *. vw_re) in
     let chaotic, den_re, den_im =
@@ -642,11 +693,10 @@ let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
       let s = scratch_for n in
       let xf = s.xf and resid = s.resid in
       let xf_re = xf.Bvec.re and xf_im = xf.Bvec.im in
-      let wre = w.Bvec.re and wim = w.Bvec.im in
       let x0re = fs.x0.Bvec.re and x0im = fs.x0.Bvec.im in
       let open Bigarray in
       for i = 0 to n - 1 do
-        let wr = Array1.unsafe_get wre i and wi = Array1.unsafe_get wim i in
+        let wr = Array1.unsafe_get wre (off + i) and wi = Array1.unsafe_get wim (off + i) in
         Array1.unsafe_set xf_re i
           (Array1.unsafe_get x0re i -. ((coef_re *. wr) -. (coef_im *. wi)));
         Array1.unsafe_set xf_im i
@@ -690,7 +740,7 @@ let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
             den_re den_im
         in
         for i = 0 to n - 1 do
-          let wr = Array1.unsafe_get wre i and wi = Array1.unsafe_get wim i in
+          let wr = Array1.unsafe_get wre (off + i) and wi = Array1.unsafe_get wim (off + i) in
           Array1.unsafe_set xf_re i
             (Array1.unsafe_get xf_re i
             +. (Array1.unsafe_get d0re i -. ((dc_re *. wr) -. (dc_im *. wi))));
@@ -699,32 +749,37 @@ let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
             +. (Array1.unsafe_get d0im i -. ((dc_re *. wi) +. (dc_im *. wr))))
         done
       in
-      if chaotic then begin
+      let scale_of () = (fs.anorm *. Bvec.norm_inf xf) +. fs.bnorm +. 1e-300 in
+      (* The gate only vouches for a finite candidate: a non-finite
+         entry turns residual rows into NaN, which [Bvec.norm_inf]
+         skips (so an all-NaN residual would read as 0 and pass), and
+         it is where the compressed-row product stops being bitwise
+         the dense one (0·∞). Such a candidate, before or after
+         refinement, goes straight to the full refactorization. *)
+      let accepted =
+        chaotic
+        || all_finite xf
+           &&
+           let scale = scale_of () in
+           faulty_residual ();
+           let res = Bvec.norm_inf resid in
+           if res <= 1024.0 *. epsilon_float *. scale then res <= smw_tolerance *. scale
+           else begin
+             let p = pend_for t (Domain.DLS.get scratch_key) in
+             p.p_refine <- p.p_refine + 1;
+             refine ();
+             all_finite xf
+             &&
+             (faulty_residual ();
+              Bvec.norm_inf resid <= smw_tolerance *. scale_of ())
+           end
+      in
+      if accepted then begin
         let p = pend_for t (Domain.DLS.get scratch_key) in
         p.p_smw <- p.p_smw + 1;
         write_out t xf ~re ~im ~ok ~ix
       end
-      else begin
-        let scale_of () = (fs.anorm *. Bvec.norm_inf xf) +. fs.bnorm +. 1e-300 in
-        faulty_residual ();
-        let res = Bvec.norm_inf resid in
-        let res =
-          if res <= 1024.0 *. epsilon_float *. scale_of () then res
-          else begin
-            let p = pend_for t (Domain.DLS.get scratch_key) in
-            p.p_refine <- p.p_refine + 1;
-            refine ();
-            faulty_residual ();
-            Bvec.norm_inf resid
-          end
-        in
-        if res <= smw_tolerance *. scale_of () then begin
-          let p = pend_for t (Domain.DLS.get scratch_key) in
-          p.p_smw <- p.p_smw + 1;
-          write_out t xf ~re ~im ~ok ~ix
-        end
-        else full_point_solve t fs ~al_re ~al_im ~u ~v ~re ~im ~ok ~ix
-      end
+      else full_point_solve t fs ~al_re ~al_im ~u ~v ~re ~im ~ok ~ix
     end
   end
 

@@ -13,11 +13,17 @@ module Netlist := Circuit.Netlist
     - a single-element deviation (or open/short replacement) of a
       passive R, C or L perturbs the MNA matrix by a rank-1 term
       α(ω)·uvᵀ with u, v sparse ±1 patterns, so each faulty solve is
-      a Sherman–Morrison update against the cached LU — O(n²),
-      polished by one step of iterative refinement — and the A⁻¹u
-      back-solves are cached across faults sharing a stamp pattern
-      (e.g. the ±20 % pair on one component);
-    - every update is verified by a cheap residual check; an
+      a Sherman–Morrison update against a cached A⁻¹u back-solve w —
+      O(nnz + n) per point, where nnz counts the stored entries of
+      A(jω) — polished when needed by one step of iterative
+      refinement (an O(n²) back-solve); the A⁻¹u back-solves are
+      cached across faults sharing a stamp pattern (e.g. the ±20 %
+      pair on one component), and {!warm_cache} stores all of one
+      frequency's in a single contiguous slab;
+    - every update is verified by a residual check, b − A_f x_f,
+      computed over the stored entries only (a compressed-row copy of
+      A(jω) on the dense back-end, bitwise equal to the dense product
+      for the finite candidates the check admits); a non-finite or
       ill-conditioned update falls back to a full refactorization of
       the perturbed matrix, and a structural fault (e.g. an inductor
       open, which changes the system dimension) falls back to a fresh
@@ -84,6 +90,13 @@ val warm_cache : t -> Fault.t list -> unit
     are identical to single-domain lazy operation and invariant under
     the parallel schedule. Unknown elements are skipped (the matching
     {!response} call still raises). *)
+
+val cached_w : t -> Fault.t -> int -> Complex.t array option
+(** [cached_w t fault i] is the cached A⁻¹u back-solve a rank-1
+    [fault] reads at grid index [i], whether {!warm_cache} stored it
+    or a lazy cache miss did; [None] when the cache holds none or the
+    fault is not rank-1. Books no hit or miss — for tests that pin
+    the cache contents. *)
 
 val response : t -> Fault.t -> Complex.t option array
 (** The faulty transfer at every grid frequency; [None] where the

@@ -86,10 +86,10 @@ let stream ?backend ?certified ?criterion ~jobs grid views faults score =
         (fun j fault -> if scored j then Some (Detect.plan_fault pv fault) else None)
         faults
     in
-    (* Rough per-point cost of a warmed rank-1 solve (two O(n²)
-       passes: the update and the residual matvec) — feeds the
-       scheduler's sequential cutoff, so only the order of magnitude
-       matters. *)
+    (* Rough per-point cost of a warmed rank-1 solve (the update and
+       the residual product over A's stored entries, bounded here by
+       n²) — feeds the scheduler's sequential cutoff, so only the
+       order of magnitude matters. *)
     let dim = float_of_int (Detect.view_dim pv) in
     { index = i; pv; cert; plans; point_ns = (3.0 *. dim *. dim) +. 250.0 }
   in
@@ -145,9 +145,9 @@ let build ?backend ?certified ?criterion ?(jobs = 1) grid views faults =
      ranges and workers share nothing but the scheduler state, the
      read-only prepared views and plans. Work-stealing balances the
      uneven task costs (structural faults and full fallbacks cost
-     O(n³) per point, warmed rank-1 solves O(n²)). Phase 3 reduces the
-     window's rows to verdicts before the window, and its engines, are
-     dropped. *)
+     O(n³) per point, warmed rank-1 solves O(nnz + n)). Phase 3
+     reduces the window's rows to verdicts before the window, and its
+     engines, are dropped. *)
   let score window =
     let w = Array.length window in
     let score_est =

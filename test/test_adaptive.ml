@@ -148,6 +148,62 @@ let test_pipeline_identity_fixed () =
   in
   Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
 
+(* leapfrog5 under the phase envelope at 30 points per decade: in
+   these eight configurations the fault RI6b+20% moves an undamped
+   resonance by one grid step, so the phase deviation is π at exactly
+   one grid point and round-off (margins of −∞ or ~−33 nepers)
+   everywhere else. A slope bound on the phase margin alone skipped
+   that point; the chord bound of {!Testability.Detect.point_margin}
+   must find it, and the adaptive matrices must equal the exhaustive
+   ones bit for bit. *)
+let test_phase_envelope_resonance_identity () =
+  let b = Circuits.Leapfrog.make () in
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let dft = Multiconfig.Transform.make ~source ~output b.Circuits.Benchmark.netlist in
+  let labels = [ "C65"; "C73"; "C81"; "C89"; "C193"; "C201"; "C209"; "C217" ] in
+  let views =
+    List.filter_map
+      (fun config ->
+        let label = Multiconfig.Configuration.label config in
+        if List.mem label labels then
+          Some
+            { Testability.Matrix.label;
+              netlist = Multiconfig.Transform.emulate dft config;
+              probe = { Testability.Detect.source; output } }
+        else None)
+      (Multiconfig.Transform.test_configurations dft)
+  in
+  Alcotest.(check int) "all eight views found" (List.length labels) (List.length views);
+  let grid =
+    Testability.Grid.around ~points_per_decade:30
+      ~center_hz:b.Circuits.Benchmark.center_hz ()
+  in
+  let faults = Fault.deviation_faults b.Circuits.Benchmark.netlist in
+  let criterion =
+    Testability.Detect.Phase_envelope { component_tol = 0.04; floor_rad = 0.02 }
+  in
+  let me = Testability.Matrix.build ~criterion grid views faults in
+  let ma, _ = A.build ~criterion grid views faults in
+  let ri6b =
+    match
+      List.find_index (fun f -> f.Fault.element = "RI6b") faults
+    with
+    | Some j -> j
+    | None -> Alcotest.fail "leapfrog5 has no RI6b"
+  in
+  Array.iteri
+    (fun i (v : Testability.Matrix.view) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s x RI6b detected exhaustively" v.Testability.Matrix.label)
+        true me.Testability.Matrix.detect.(i).(ri6b))
+    me.Testability.Matrix.views;
+  Alcotest.(check bool) "detect bitwise identical" true
+    (ma.Testability.Matrix.detect = me.Testability.Matrix.detect);
+  Alcotest.(check (array (array int64)))
+    "omega bitwise identical"
+    (Array.map (Array.map Int64.bits_of_float) me.Testability.Matrix.omega)
+    (Array.map (Array.map Int64.bits_of_float) ma.Testability.Matrix.omega)
+
 let test_pipeline_identity_starved_budget () =
   (* a 2-solve budget forces essentially every row to degrade; the
      matrices must still be the exhaustive ones *)
@@ -308,6 +364,8 @@ let suite =
       test_pipeline_identity_envelope;
     Alcotest.test_case "adaptive pipeline = exhaustive (fixed)" `Quick
       test_pipeline_identity_fixed;
+    Alcotest.test_case "adaptive = exhaustive at a leapfrog5 phase resonance" `Quick
+      test_phase_envelope_resonance_identity;
     Alcotest.test_case "starved budget degrades, matrices intact" `Quick
       test_pipeline_identity_starved_budget;
     Alcotest.test_case "CLI --adaptive leaves every table byte-identical" `Slow

@@ -196,6 +196,53 @@ let test_metrics_batching_exact () =
       Alcotest.(check int) "full_solves flushed exactly" full
         (Obs.Metrics.counter snap "fastsim.full_solves"))
 
+(* --- non-finite rank-1 candidates ---------------------------------- *)
+
+(* Scaling a tow-thomas resistor by a tiny factor is still a finite
+   rank-1 perturbation, but the Sherman–Morrison candidate overflows.
+   For R1 × 5e-309 (α ≈ 2·10³⁰⁴ S) the bare candidate is already ±∞ at
+   the low grid points; for R2 × 1e-300 the bare candidate is finite
+   but fails the gate, and its refinement step overflows. The residual
+   gate cannot judge either — their residual rows are NaN, which an
+   ∞-norm skips — so both must take the full refactorization:
+   full_solves moves and no point comes back non-finite. The first
+   never reaches the refinement step. *)
+let test_nonfinite_candidate_falls_back () =
+  let b = Circuits.Tow_thomas.make () in
+  let netlist = b.Circuits.Benchmark.netlist
+  and source = b.Circuits.Benchmark.source
+  and output = b.Circuits.Benchmark.output in
+  let freqs_hz = Grid.freqs_hz (grid_of b) in
+  let check ~refined fault =
+    let what = Format.asprintf "%a" Fault.pp fault in
+    Obs.Metrics.reset ();
+    Obs.Metrics.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.set_enabled false;
+        Obs.Metrics.reset ())
+      (fun () ->
+        let sim = Fastsim.create ~backend:Fastsim.Dense ~source ~output ~freqs_hz netlist in
+        let r = Fastsim.response sim fault in
+        let _, full = Fastsim.stats sim in
+        let snap = Obs.Metrics.snapshot () in
+        Alcotest.(check bool) (what ^ ": full refactorizations happened") true (full > 0);
+        Alcotest.(check int) (what ^ ": fastsim.full_solves moved") full
+          (Obs.Metrics.counter snap "fastsim.full_solves");
+        Alcotest.(check bool) (what ^ ": refinement steps taken") refined
+          (Obs.Metrics.counter snap "fastsim.refine_steps" > 0);
+        Array.iteri
+          (fun i -> function
+            | Some (z : Complex.t)
+              when not (Float.is_finite z.Complex.re && Float.is_finite z.Complex.im) ->
+                Alcotest.failf "%s: non-finite response %g%+gi at %g Hz" what z.Complex.re
+                  z.Complex.im freqs_hz.(i)
+            | _ -> ())
+          r)
+  in
+  check ~refined:false (Fault.deviation ~element:"R1" 5e-309);
+  check ~refined:true (Fault.deviation ~element:"R2" 1e-300)
+
 (* --- worker-count independence ------------------------------------ *)
 
 let test_pipeline_jobs_deterministic () =
@@ -241,6 +288,8 @@ let suite =
     Alcotest.test_case "nominal equals Ac.sweep" `Quick test_nominal_matches_sweep;
     Alcotest.test_case "batched metrics equal engine stats" `Quick
       test_metrics_batching_exact;
+    Alcotest.test_case "non-finite rank-1 candidate takes the full solve" `Quick
+      test_nonfinite_candidate_falls_back;
     Alcotest.test_case "Pipeline.run independent of jobs" `Quick
       test_pipeline_jobs_deterministic;
     Alcotest.test_case "Montecarlo.run independent of jobs" `Quick

@@ -250,6 +250,60 @@ let qcheck_big_mul_vec_equiv =
       Cmat.Big.mul_vec_into (big_of_rows rows) ~x:xv ~y:yv;
       exact_vec (Cmat.Big.Vec.to_complex yv) (Cmat.mul_vec (Cmat.of_arrays rows) x))
 
+(* The compressed-row residual product against the dense one, bit for
+   bit (−0 told apart from +0): random sparsity, entries that are −0.0
+   in one or both planes (kept by the compressed copy, which drops
+   only +0 entries), and exact ±0 entries in x. Densifying the copy
+   must give back the matrix bit for bit. *)
+let qcheck_csr_mul_vec_bitwise =
+  let plus_zero x = Int64.equal (Int64.bits_of_float x) 0L in
+  let bits_equal x y =
+    Array.length x = Array.length y
+    && Array.for_all2
+         (fun (a : Complex.t) (b : Complex.t) ->
+           Int64.equal (Int64.bits_of_float a.Complex.re) (Int64.bits_of_float b.Complex.re)
+           && Int64.equal (Int64.bits_of_float a.Complex.im) (Int64.bits_of_float b.Complex.im))
+         x y
+  in
+  QCheck.Test.make
+    ~name:"Big csr_mul_vec_into == mul_vec_into, csr_dense_into lossless (bitwise)"
+    ~count:300
+    (QCheck.make QCheck.Gen.(pair (int_range 1 12) (int_range 0 1000000)))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let part () =
+        match Random.State.int rng 4 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | _ -> QCheck.Gen.float_range (-10.0) 10.0 rng
+      in
+      let density = Random.State.float rng 1.0 in
+      let rows =
+        Array.init n (fun _ ->
+            Array.init n (fun _ ->
+                if Random.State.float rng 1.0 < density then c (part ()) (part ())
+                else c (if Random.State.bool rng then 0.0 else -0.0) 0.0))
+      in
+      let x = Array.init n (fun _ -> c (part ()) (part ())) in
+      let a = big_of_rows rows in
+      let csr = Cmat.Big.csr_of a in
+      let stored =
+        Array.fold_left
+          (Array.fold_left (fun acc (z : Complex.t) ->
+               if plus_zero z.Complex.re && plus_zero z.Complex.im then acc else acc + 1))
+          0 rows
+      in
+      let back = Cmat.Big.create n n in
+      Cmat.Big.csr_dense_into csr back;
+      let dense_rows m = Array.init n (fun i -> Array.init n (fun j -> Cmat.Big.get m i j)) in
+      let xv = Cmat.Big.Vec.of_complex x in
+      let dense = Cmat.Big.Vec.create n and sparse = Cmat.Big.Vec.create n in
+      Cmat.Big.mul_vec_into a ~x:xv ~y:dense;
+      Cmat.Big.csr_mul_vec_into csr ~x:xv ~y:sparse;
+      Cmat.Big.csr_nnz csr = stored
+      && bits_equal (Cmat.Big.Vec.to_complex sparse) (Cmat.Big.Vec.to_complex dense)
+      && Array.for_all2 bits_equal (dense_rows back) (dense_rows a))
+
 let qcheck_big_block_solve =
   QCheck.Test.make
     ~name:"Big lu_solve_block_into == k scalar lu_solve_into (bitwise)" ~count:100
@@ -266,14 +320,12 @@ let qcheck_big_block_solve =
             (fun r col -> Array.iteri (fun i z -> Cmat.Big.set b i r z) col)
             cols;
           Cmat.Big.lu_solve_block_into lu ~b ~x;
-          let xv = Cmat.Big.Vec.create n in
           Array.for_all
             (fun r ->
               let bv = Cmat.Big.Vec.of_complex cols.(r) in
               let sx = Cmat.Big.Vec.create n in
               Cmat.Big.lu_solve_into lu ~b:bv ~x:sx;
-              Cmat.Big.col_into x ~c:r xv;
-              exact_vec (Cmat.Big.Vec.to_complex xv) (Cmat.Big.Vec.to_complex sx))
+              exact_vec (Array.init n (fun i -> Cmat.Big.get x i r)) (Cmat.Big.Vec.to_complex sx))
             (Array.init k Fun.id))
 
 let test_big_singular_agreement () =
@@ -366,6 +418,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_big_solve_equiv;
     QCheck_alcotest.to_alcotest qcheck_big_det_equiv;
     QCheck_alcotest.to_alcotest qcheck_big_mul_vec_equiv;
+    QCheck_alcotest.to_alcotest qcheck_csr_mul_vec_bitwise;
     QCheck_alcotest.to_alcotest qcheck_big_block_solve;
     Alcotest.test_case "singular agreement" `Quick test_singular_agreement;
     Alcotest.test_case "Big singular agreement" `Quick test_big_singular_agreement;

@@ -297,36 +297,37 @@ let test_streamed_views_prepared_once () =
 (* The envelope sweep warms its drift back-solves in blocks before it
    responds. Its thresholds must be bitwise those of the plain sweep —
    one Fastsim.response per drift on a cold engine — and the back-solve
-   cache must book the same hits and misses. *)
+   cache must book the same hits and misses. Every w the block warm
+   stores in its per-frequency slab must be bitwise the one a lazy
+   cache miss solves on its own. *)
 let check_envelope_warm ~what ~backend probe grid netlist =
   let tol = 0.04 and floor = 0.02 in
   let criterion = Detect.Process_envelope { component_tol = tol; floor } in
+  let engine () =
+    Testability.Fastsim.create ~backend ~source:probe.Detect.source
+      ~output:probe.Detect.output ~freqs_hz:(Grid.freqs_hz grid) netlist
+  in
+  let drifts =
+    List.map
+      (fun e -> Fault.deviation ~element:(Circuit.Element.name e) (1.0 +. tol))
+      (Netlist.passives netlist)
+  in
   let cold () =
-    let sim =
-      Testability.Fastsim.create ~backend ~source:probe.Detect.source
-        ~output:probe.Detect.output ~freqs_hz:(Grid.freqs_hz grid) netlist
-    in
+    let sim = engine () in
     let nominal = Testability.Fastsim.nominal sim in
     let env = Array.make (Grid.n_points grid) floor in
     List.iter
-      (fun e ->
-        let drift =
-          Fault.deviation ~element:(Circuit.Element.name e) (1.0 +. tol)
-        in
+      (fun drift ->
         let faulty = Array.map Option.get (Testability.Fastsim.response sim drift) in
         Array.iteri
           (fun i d -> env.(i) <- env.(i) +. d)
           (Detect.response_deviation ~nominal ~faulty))
-      (Netlist.passives netlist);
+      drifts;
     let mask = Detect.measurement_mask nominal in
     Array.mapi (fun i t -> if Bytes.get mask i = '\001' then infinity else t) env
   in
   let warmed () =
-    let sim =
-      Testability.Fastsim.create ~backend ~source:probe.Detect.source
-        ~output:probe.Detect.output ~freqs_hz:(Grid.freqs_hz grid) netlist
-    in
-    let nominal = Testability.Fastsim.nominal sim in
+    let nominal = Testability.Fastsim.nominal (engine ()) in
     match
       Detect.thresholds (Detect.prepare ~backend criterion probe grid netlist ~nominal)
     with
@@ -334,6 +335,25 @@ let check_envelope_warm ~what ~backend probe grid netlist =
     | _ -> Alcotest.fail "one envelope criterion, one threshold row"
   in
   let cache c = List.filter (fun (n, _) -> String.starts_with ~prefix:"fastsim.wcache" n) c in
+  let slab = engine () and lazy_ = engine () in
+  Testability.Fastsim.warm_cache slab drifts;
+  List.iter (fun d -> ignore (Testability.Fastsim.response lazy_ d)) drifts;
+  let w_bits sim d i =
+    match Testability.Fastsim.cached_w sim d i with
+    | None -> Alcotest.failf "%s: no cached w at grid index %d" what i
+    | Some w ->
+        Array.to_list w
+        |> List.concat_map (fun (z : Complex.t) ->
+               [ Int64.bits_of_float z.Complex.re; Int64.bits_of_float z.Complex.im ])
+  in
+  List.iter
+    (fun d ->
+      for i = 0 to Grid.n_points grid - 1 do
+        Alcotest.(check (list int64))
+          (what ^ ": slab w = lazily solved w, bitwise")
+          (w_bits lazy_ d i) (w_bits slab d i)
+      done)
+    drifts;
   let reference, c_cold = counters_of cold in
   let thresholds, c_warm = counters_of warmed in
   Alcotest.(check (array int64))
