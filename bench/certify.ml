@@ -1,23 +1,24 @@
 (* Interval-certification benchmarks: what does the static pass prove,
-   and what does consuming its certificates change end-to-end?
+   and what would consuming its certificates change end-to-end?
 
-   Each row runs the same Fixed_tolerance campaign twice — certification
-   on (the default) and off — and reports the proved cell/point
-   fractions, the numeric solves the campaign actually skipped (the
-   certify.solves_skipped counter of a metrics-enabled rerun), both
-   wall-clocks, and whether the two matrices came out bitwise identical
-   (they must — the certify test suite and the certify-soundness fuzz
-   oracle enforce it; the bench records the fact next to the numbers).
+   Campaigns do not certify by default; certification is opt-in
+   (Pipeline.run ~certify:true). Each row runs the same Fixed_tolerance
+   campaign twice — certification on (opt-in) and off (the default) —
+   and reports the proved cell/point fractions, the numeric solves the
+   certified campaign skipped (the certify.solves_skipped counter of a
+   metrics-enabled rerun), both wall-clocks, and whether the two
+   matrices came out bitwise identical (they must — the certify test
+   suite enforces it; the bench records the fact next to the numbers).
 
-   Honesty note: certification is not a wall-clock optimization and the
-   seconds columns are expected to show it. One symbolic Bareiss
-   elimination per (view × fault) cell costs more than the warmed SMW
-   solves it lets the campaign skip, and the bigladder row is gated out
-   entirely by the max_dim cap (symbolic elimination at MNA dimension in
-   the hundreds is hopeless), so its proved counts are honest zeros.
-   What the pass buys is solver-independent certificates: verdicts that
-   hold over the continuous frequency band, not just at the sampled
-   grid points. *)
+   Certification is not a wall-clock optimization and the seconds
+   columns show it: that is why it is off by default. One symbolic
+   Bareiss elimination per (view × fault) cell costs more than the
+   warmed SMW solves it lets the campaign skip, and the bigladder row
+   is gated out entirely by the max_dim cap (symbolic elimination at
+   MNA dimension in the hundreds is hopeless), so its proved counts are
+   honest zeros. What the pass buys is solver-independent certificates:
+   verdicts that hold over the continuous frequency band, not just at
+   the sampled grid points. *)
 
 module P = Mcdft_core.Pipeline
 module M = Testability.Matrix

@@ -297,8 +297,8 @@ let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
     (* interval certification at the paper's fixed ε = 0.1: a fault
        whose undetectability is *certified* at every probed frequency
        in every test configuration (F002) is a stronger fact than the
-       structural F001, and the provable fraction (P002) summarizes
-       what a campaign at this criterion gets for free. The linter has
+       structural F001, and P002 reports the fraction of the verdicts
+       at this criterion that is provable statically. The linter has
        no campaign grid, so the probed frequencies span two decades
        either side of the geometric pole centre; the pass is gated by
        the certification work cap so lint stays fast when the

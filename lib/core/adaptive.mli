@@ -150,8 +150,9 @@ val build :
     read-only plans; only the verdict rows outlive the window.
 
     [certified] is the {!Analysis.Certify} verdict cube, exactly as
-    {!Testability.Matrix.build} takes it (shape-checked, same
-    [certify.solves_skipped]/[certify.cells_proved] accounting).
+    {!Testability.Matrix.stream} takes it (shape-checked, same
+    [certify.solves_skipped]/[certify.cells_proved] accounting); only
+    [Pipeline.run ~certify:true] passes one.
     [solve_budget] is the per-row cap handed to {!Refine.row}
     (positive; default unlimited). [stride] defaults to
     {!default_stride}, [guard] to {!default_guard}.

@@ -16,7 +16,7 @@ let default_criterion =
   Testability.Detect.Process_envelope { component_tol = 0.04; floor = 0.02 }
 
 let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
-    ?follower_model ?jobs ?backend ?(prune = true) ?(certify = true)
+    ?follower_model ?jobs ?backend ?(prune = true) ?(certify = false)
     ?(adaptive = true) ?solve_budget (benchmark : Circuits.Benchmark.t) =
   Obs.Trace.span "pipeline.run" @@ fun () ->
   let netlist = benchmark.Circuits.Benchmark.netlist in
@@ -83,13 +83,13 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
   let rep_views =
     List.map (fun members -> views_arr.(List.hd members)) groups
   in
-  (* Interval certification: a static pass over the representative
-     views proving (fault × frequency-point) verdicts from the
-     symbolic transfer functions, so the campaign only solves what the
-     intervals could not decide. Only the paper's Definition 1
+  (* Interval certification (opt-in): a static pass over the
+     representative views proving (fault × frequency-point) verdicts
+     from the symbolic transfer functions; the adaptive campaign then
+     skips the proved points. Off by default because the pass costs
+     far more than the solves it saves. Only the paper's Definition 1
      criterion is certifiable — the deviation the intervals bound is
-     exactly the fixed-ε magnitude comparison; envelope and phase
-     criteria run fully numeric. *)
+     exactly the fixed-ε magnitude comparison. *)
   let certification =
     match criterion with
     | Testability.Detect.Fixed_tolerance eps when certify && eps > 0.0 ->
@@ -114,8 +114,8 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
   (* The adaptive driver (default) spends numeric solves only where
      verdicts can flip; its matrices are bitwise identical to the
      exhaustive Matrix.build — asserted by the tier-1 tests and the
-     adaptive-vs-exhaustive oracle, like pruning and certification
-     before it. *)
+     adaptive-vs-exhaustive oracle, like pruning before it. The
+     exhaustive campaign never consumes certificates. *)
   let certified = Option.map Analysis.Certify.verdict_cube certification in
   let rep_matrix, adaptive_stats =
     if adaptive then
@@ -125,8 +125,7 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
       in
       (matrix, Some stats)
     else
-      ( Testability.Matrix.build ?backend ?certified ~criterion ?jobs grid
-          rep_views faults,
+      ( Testability.Matrix.build ?backend ~criterion ?jobs grid rep_views faults,
         None )
   in
   (* Expand back to the full view list: row i is a copy of its

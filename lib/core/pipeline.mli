@@ -24,9 +24,9 @@ type t = {
           [~prune:false]). *)
   certify : Analysis.Certify.t option;
       (** The interval-certification result over the representative
-          views, when the criterion was certifiable
-          ([Fixed_tolerance]) and certification was not disabled;
-          [None] otherwise. *)
+          views, when [~certify:true] was asked for and the criterion
+          is certifiable ([Fixed_tolerance] with ε > 0); [None]
+          otherwise, which includes every default run. *)
   adaptive : Adaptive.stats option;
       (** Solve accounting of the adaptive campaign driver over the
           representative rows; [None] with [~adaptive:false]. *)
@@ -72,13 +72,20 @@ val run :
     metric; pass [~prune:false] to force every row through the
     solver.
 
-    [certify] (default [true]) runs {!Analysis.Certify} over the
-    representative views when the criterion is a [Fixed_tolerance] —
-    certified (fault × frequency) points skip their numeric solves
-    ([certify.solves_skipped] / [certify.cells_proved] metrics) while
-    the detect/omega matrices stay bitwise identical to an
-    uncertified run. Other criteria, or [~certify:false], run fully
-    numeric with {!field:certify} = [None].
+    [certify] (default [false]) runs {!Analysis.Certify} over the
+    representative views when the criterion is a [Fixed_tolerance],
+    stores the result in {!field:certify}, and lets the adaptive
+    campaign skip the certified (fault × frequency) points
+    ([certify.solves_skipped] / [certify.cells_proved] metrics); the
+    exhaustive campaign ([~adaptive:false]) solves every point anyway.
+    The detect/omega matrices are bitwise identical either way. It is
+    off by default because it does not pay: on the twelve small
+    registry circuits at fixed:0.1 (2-core x86-64 container) the
+    interval pass took ~2.4 s of a ~3.4 s campaign to skip 31 % of the
+    points, whose solves cost under 0.3 s. The argument stays for callers that want the
+    certificates alongside the matrices, among them the campaign
+    benchmark ([perfbench/]), which passes it explicitly; [mcdft
+    certify] and lint F002/P002 call {!Analysis.Certify} directly.
 
     [adaptive] (default [true]) drives the campaign through
     {!Adaptive.build}: coarse-grid solves plus flip-driven bisection

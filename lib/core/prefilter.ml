@@ -15,7 +15,7 @@ let analyse ?follower_model ?faults (dft : Multiconfig.Transform.t) =
   }
 
 let run ?(criterion = Pipeline.default_criterion) ?(points_per_decade = 30) ?faults
-    ?(certify = true) ?(adaptive = true) ?solve_budget
+    ?(adaptive = true) ?solve_budget
     (benchmark : Circuits.Benchmark.t) =
   let netlist = benchmark.Circuits.Benchmark.netlist in
   Circuit.Validate.check_exn netlist;
@@ -51,47 +51,6 @@ let run ?(criterion = Pipeline.default_criterion) ?(points_per_decade = 30) ?fau
         })
       configs
   in
-  (* Interval certification on top of the structural filter: where the
-     static pass fully proved a (configuration, fault) cell, the
-     verdict row is synthesized from the certified bytes and the
-     numeric sweep is skipped entirely. Partially proved cells still
-     go through the numeric path here — the per-point skipping lives
-     in {!Testability.Matrix.build}, which this economical flow
-     bypasses. *)
-  let certification =
-    match criterion with
-    | Testability.Detect.Fixed_tolerance eps when certify && eps > 0.0 ->
-        let specs =
-          List.map
-            (fun (v : Testability.Matrix.view) ->
-              {
-                Analysis.Certify.label = v.Testability.Matrix.label;
-                netlist = v.Testability.Matrix.netlist;
-                source = probe.Testability.Detect.source;
-                output = probe.Testability.Detect.output;
-              })
-            views
-        in
-        Some
-          (Analysis.Certify.certify ~eps
-             ~freqs_hz:(Testability.Grid.freqs_hz grid)
-             specs faults)
-    | _ -> None
-  in
-  let fully_proved i j =
-    match certification with
-    | None -> None
-    | Some c ->
-        let cell = c.Analysis.Certify.views.(i).Analysis.Certify.cells.(j) in
-        if
-          c.Analysis.Certify.views.(i).Analysis.Certify.validated
-          && not
-               (Bytes.exists
-                  (fun b -> b = '?')
-                  cell.Analysis.Certify.verdicts)
-        then Some cell.Analysis.Certify.verdicts
-        else None
-  in
   let index_of fault =
     let rec find k =
       if fault_array.(k).Fault.id = fault.Fault.id then k else find (k + 1)
@@ -110,46 +69,32 @@ let run ?(criterion = Pipeline.default_criterion) ?(points_per_decade = 30) ?fau
         |> List.filter (fun f -> StringSet.mem f.Fault.element reachable)
       in
       Obs.Metrics.incr ~by:(m - List.length wanted) "prefilter.structural_skips";
-      let proved, numeric =
-        List.partition (fun f -> fully_proved i (index_of f) <> None) wanted
-      in
-      List.iter
-        (fun fault ->
-          let j = index_of fault in
-          let verdicts = Option.get (fully_proved i j) in
-          let r = Testability.Detect.result_of_verdicts grid fault verdicts in
-          Obs.Metrics.incr ~by:(Testability.Grid.n_points grid)
-            "certify.solves_skipped";
-          Obs.Metrics.incr "certify.cells_proved";
-          detect.(i).(j) <- r.Testability.Detect.detectable;
-          omega.(i).(j) <- r.Testability.Detect.omega_det)
-        proved;
       (* one shared nominal sweep and threshold preparation per view,
-         as in Matrix.build, but only the reachable, unproved faults
-         simulated — adaptively by default, so even the surviving rows
-         solve only around their verdict boundaries *)
-      if numeric <> [] then
+         as in Matrix.build, but only the reachable faults simulated —
+         adaptively by default, so even the surviving rows solve only
+         around their verdict boundaries *)
+      if wanted <> [] then
         if adaptive then begin
           let view_rec = List.nth views i in
           let m, _stats =
             Adaptive.build ~criterion ~jobs:1 ?solve_budget grid [ view_rec ]
-              numeric
+              wanted
           in
           List.iteri
             (fun k fault ->
               let j = index_of fault in
               detect.(i).(j) <- m.Testability.Matrix.detect.(0).(k);
               omega.(i).(j) <- m.Testability.Matrix.omega.(0).(k))
-            numeric
+            wanted
         end
         else begin
-          let results = Testability.Detect.analyze ~criterion probe grid view numeric in
+          let results = Testability.Detect.analyze ~criterion probe grid view wanted in
           List.iter2
             (fun fault (r : Testability.Detect.result) ->
               let j = index_of fault in
               detect.(i).(j) <- r.Testability.Detect.detectable;
               omega.(i).(j) <- r.Testability.Detect.omega_det)
-            numeric results
+            wanted results
         end)
     configs;
   ( plan,

@@ -31,7 +31,6 @@ val run :
   ?criterion:Testability.Detect.criterion ->
   ?points_per_decade:int ->
   ?faults:Fault.t list ->
-  ?certify:bool ->
   ?adaptive:bool ->
   ?solve_budget:int ->
   Circuits.Benchmark.t ->
@@ -39,10 +38,9 @@ val run :
 (** The economical campaign: the same matrix {!Pipeline.run} would
     produce (same criterion default, same grid), but with structurally
     impossible (configuration, fault) pairs skipped instead of
-    simulated. [certify] (default [true]) additionally skips the
-    sweeps of cells the interval certification pass
-    ({!Analysis.Certify}) fully proved — only under a
-    [Fixed_tolerance] criterion; the matrix stays identical either
-    way. [adaptive] (default [true]) solves the surviving rows through
-    {!Adaptive.build} (flip-driven refinement, [solve_budget] per-row
-    cap) instead of the exhaustive per-fault sweep. *)
+    simulated. No interval certification runs here: the structural
+    pass is the only static filter (see {!Pipeline.run} for why
+    certification stays out of campaigns). [adaptive] (default
+    [true]) solves the surviving rows through {!Adaptive.build}
+    (flip-driven refinement, [solve_budget] per-row cap) instead of
+    the exhaustive per-fault sweep. *)

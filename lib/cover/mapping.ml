@@ -8,8 +8,9 @@ let opamps_of_config i =
   in
   bits 0 IntSet.empty
 
-let opamps_of_term term =
-  IntSet.fold (fun c acc -> IntSet.union acc (opamps_of_config c)) term IntSet.empty
+(* A term needs the opamps of each of its configurations: the union of
+   their bit sets, i.e. the bits of their [lor]. *)
+let opamps_of_term term = opamps_of_config (IntSet.fold ( lor ) term 0)
 
 let xi_star terms = List.map opamps_of_term terms
 

@@ -13,7 +13,9 @@ val opamps_of_config : int -> Clause.IntSet.t
     of its index. C₀ needs none. *)
 
 val opamps_of_term : Clause.IntSet.t -> Clause.IntSet.t
-(** Union over the configurations of a product term. *)
+(** Union over the configurations of a product term — computed as the
+    set bits of the [lor] of its configuration indices. Raises
+    [Invalid_argument] on a negative index, like {!opamps_of_config}. *)
 
 val xi_star : Clause.IntSet.t list -> Clause.IntSet.t list
 (** Map every ξ term, keeping duplicates — the paper's raw ξ*

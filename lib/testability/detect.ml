@@ -296,29 +296,18 @@ let plan_fault pv fault = Fastsim.plan_of pv.sim fault
 let score_range pv plan ~lo ~hi ~re ~im ~ok =
   Fastsim.response_range_into pv.sim plan ~lo ~hi ~re ~im ~ok
 
-let result_of_rows ?verdicts pv grid fault ~re ~im ~ok =
+let result_of_rows pv grid fault ~re ~im ~ok =
   let nominal = pv.nominal and prepared = pv.prepared in
   let deviates i =
     (* The measurement floor comes first — a sub-floor point is
-       undetectable by definition, before any certificate or solve is
-       consulted. A certified verdict byte then overrides the numeric
-       comparison — the point was never scored. Soundness of the
-       certification pass guarantees the byte equals what the
-       comparison would have produced, which the tier-1
-       bitwise-identity assertions and the certify-soundness oracle
-       re-check from the outside. *)
+       undetectable by definition, before the solve is consulted. *)
     if Bytes.get pv.mask i = '\001' then false
+    else if Bytes.get ok i = '\000' then true
     else
-    match verdicts with
-    | Some v when Bytes.get v i = 'd' -> true
-    | Some v when Bytes.get v i = 'u' -> false
-    | _ ->
-        if Bytes.get ok i = '\000' then true
-        else
-          let tf = { Complex.re = re.(i); im = im.(i) } in
-          List.exists
-            (fun p -> p.deviation nominal.(i) tf > p.thresholds.(i))
-            prepared
+      let tf = { Complex.re = re.(i); im = im.(i) } in
+      List.exists
+        (fun p -> p.deviation nominal.(i) tf > p.thresholds.(i))
+        prepared
   in
   let intervals = ref [] in
   for i = 0 to Grid.n_points grid - 1 do

@@ -168,7 +168,6 @@ val score_range :
     ranges of one row may be filled concurrently. *)
 
 val result_of_rows :
-  ?verdicts:Bytes.t ->
   prepared_view ->
   Grid.t ->
   Fault.t ->
@@ -180,11 +179,7 @@ val result_of_rows :
     deviation/threshold comparisons as {!analyze_prepared} (an
     [ok]=['\000'] point counts as detectable, like a [None] response,
     except below the measurement floor where the point is
-    undetectable by definition). When [verdicts] is given, a point whose byte is ['d']
-    (certified detectable) or ['u'] (certified undetectable) takes
-    that verdict without consulting the row — such points need never
-    have been scored; ['?'] bytes fall through to the numeric
-    comparison. *)
+    undetectable by definition). *)
 
 val point_verdict :
   prepared_view -> re:float array -> im:float array -> ok:Bytes.t -> int -> bool

@@ -117,7 +117,7 @@ let stream ?backend ?certified ?criterion ~jobs grid views faults score =
   walk 0;
   !certified_points
 
-let build ?backend ?certified ?criterion ?(jobs = 1) grid views faults =
+let build ?backend ?criterion ?(jobs = 1) grid views faults =
   Obs.Trace.span "matrix.build" @@ fun () ->
   let views = Array.of_list views in
   let faults = Array.of_list faults in
@@ -126,8 +126,7 @@ let build ?backend ?certified ?criterion ?(jobs = 1) grid views faults =
   let detect = Array.make_matrix n m false in
   let omega = Array.make_matrix n m 0.0 in
   (* Planar response rows for one window of views, reused by every
-     window: a scored slot is always written before it is read, and a
-     certified slot is never read (its verdict byte wins the reduce). *)
+     window: every slot is written before it is read. *)
   let rows =
     Array.init
       (Int.min n (Util.Parallel.effective_jobs jobs))
@@ -162,52 +161,29 @@ let build ?backend ?certified ?criterion ?(jobs = 1) grid views faults =
             let r = item / (n_fc * n_fb) in
             let rem = item mod (n_fc * n_fb) in
             let c = rem / n_fb and bq = rem mod n_fb in
-            let { pv; cert; plans; _ } = window.(r) in
+            let { pv; plans; _ } = window.(r) in
             let lo = bq * freq_block in
             let hi = Int.min nf (lo + freq_block) in
             let j1 = Int.min m ((c * fault_chunk) + fault_chunk) - 1 in
             for j = c * fault_chunk to j1 do
-              match plans.(j) with
-              | None -> () (* fully certified: nothing to solve *)
-              | Some plan -> (
-                  let re, im, ok = rows.(r).(j) in
-                  match cert.(j) with
-                  | None -> Detect.score_range pv plan ~lo ~hi ~re ~im ~ok
-                  | Some v ->
-                      (* Score only the maximal runs of uncertified
-                         points inside this frequency block; certified
-                         slots are never read. *)
-                      let p = ref lo in
-                      while !p < hi do
-                        if Bytes.get v !p <> '?' then incr p
-                        else begin
-                          let q = ref !p in
-                          while !q < hi && Bytes.get v !q = '?' do
-                            incr q
-                          done;
-                          Detect.score_range pv plan ~lo:!p ~hi:!q ~re ~im ~ok;
-                          p := !q
-                        end
-                      done)
+              let re, im, ok = rows.(r).(j) in
+              Detect.score_range pv (Option.get plans.(j)) ~lo ~hi ~re ~im ~ok
             done));
     (* Sequential reduce, in view order: cheap (interval bookkeeping),
        and keeping it sequential keeps the matrix trivially
        jobs-deterministic. *)
     Obs.Trace.span "matrix.reduce" (fun () ->
         Array.iteri
-          (fun r { index = i; pv; cert; _ } ->
+          (fun r { index = i; pv; _ } ->
             for j = 0 to m - 1 do
               let re, im, ok = rows.(r).(j) in
-              let res =
-                Detect.result_of_rows ?verdicts:cert.(j) pv grid faults.(j) ~re
-                  ~im ~ok
-              in
+              let res = Detect.result_of_rows pv grid faults.(j) ~re ~im ~ok in
               detect.(i).(j) <- res.Detect.detectable;
               omega.(i).(j) <- res.Detect.omega_det
             done)
           window)
   in
-  ignore (stream ?backend ?certified ?criterion ~jobs grid views faults score : int);
+  ignore (stream ?backend ?criterion ~jobs grid views faults score : int);
   { views; faults; detect; omega }
 
 let n_views t = Array.length t.views

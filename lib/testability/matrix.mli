@@ -21,7 +21,6 @@ type t = {
 
 val build :
   ?backend:Fastsim.backend ->
-  ?certified:Bytes.t option array array ->
   ?criterion:Detect.criterion -> ?jobs:int -> Grid.t -> view list -> Fault.t list -> t
 (** Run the full fault simulation campaign: one nominal sweep plus one
     faulty sweep per (view, fault) pair. Views stream through
@@ -30,21 +29,7 @@ val build :
     prepared. [jobs] > 1 distributes the work across that many domains;
     results are identical to a sequential run. [backend]
     selects the per-view factorization ({!Fastsim.backend}, default
-    [Auto]).
-
-    [certified] is a per-[view][fault] cube of statically certified
-    verdict bytes (['d' | 'u' | '?'] per grid point, see
-    [Analysis.Certify.verdict_cube]): certified points are never
-    solved — their verdicts flow straight into the reduce — and a
-    fully certified (view, fault) cell skips cache warming and plan
-    construction too. The caller is responsible for the cube having
-    been computed against the same views, faults, grid and criterion;
-    verdict soundness then makes the resulting matrices bitwise
-    identical to an uncertified run. Counters:
-    [certify.solves_skipped] (certified points) and
-    [certify.cells_proved] (fully certified cells), incremented
-    sequentially before the parallel phases so they stay
-    jobs-invariant. Raises [Invalid_argument] on a shape mismatch. *)
+    [Auto]). Every (view, fault, frequency) point is solved. *)
 
 type prepared = {
   index : int;  (** the view's position in the campaign's view array *)
@@ -86,11 +71,19 @@ val stream :
     views. The callback runs on the calling domain, once per window,
     in view order; it may fan out itself.
 
-    [certified] is checked and booked exactly as {!build} documents
-    ([certify.solves_skipped], [certify.cells_proved], sequentially
-    before any preparation). Returns the number of certified grid
-    points in the cube (0 without one). Raises [Invalid_argument] on a
-    cube shape mismatch, and like {!Detect.prepare_view}. *)
+    [certified] is a per-[view][fault] cube of statically certified
+    verdict bytes (['d' | 'u' | '?'] per grid point, see
+    [Analysis.Certify.verdict_cube]), computed by the caller against
+    the same views, faults, grid and criterion. A fully certified
+    (view, fault) cell gets neither a warmed cache nor a plan, and
+    the cube's certified points are booked as
+    [certify.solves_skipped] (plus [certify.cells_proved] per fully
+    certified cell), sequentially before any preparation so the
+    counters are jobs-invariant; the callback must take those
+    verdicts from the cube instead of scoring them. Returns the number
+    of certified grid points in the cube (0 without one). Raises
+    [Invalid_argument] on a cube shape mismatch, and like
+    {!Detect.prepare_view}. *)
 
 val n_views : t -> int
 val n_faults : t -> int

@@ -1,7 +1,8 @@
 (* Interval-certified detectability: soundness of Analysis.Certify and
-   its integration into the campaign engine. The load-bearing property
-   is bitwise identity — a campaign that consumes certified verdicts
-   must produce exactly the matrices a fully numeric run produces. *)
+   its opt-in use by campaigns. Campaigns run fully numeric by default;
+   the load-bearing property is bitwise identity — a campaign that
+   consumes certified verdicts ([~certify:true]) must produce exactly
+   the matrices a fully numeric run produces. *)
 
 open Testability
 module P = Mcdft_core.Pipeline
@@ -38,12 +39,44 @@ let test_registry_identity () =
         (on.P.certify <> None && off.P.certify = None))
     (Circuits.Registry.all ())
 
+(* the structural prefilter never certifies; its matrices equal those
+   of a campaign that consumed the certificates *)
 let test_prefilter_identity () =
   let b = benchmark "tow-thomas" in
-  let _, on = PF.run ~criterion ~points_per_decade:10 ~certify:true b in
-  let _, off = PF.run ~criterion ~points_per_decade:10 ~certify:false b in
-  Alcotest.(check bool) "detect identical" true (on.Matrix.detect = off.Matrix.detect);
-  Alcotest.(check bool) "omega identical" true (on.Matrix.omega = off.Matrix.omega)
+  let on = P.run ~criterion ~points_per_decade:10 ~certify:true b in
+  let _, pf = PF.run ~criterion ~points_per_decade:10 b in
+  Alcotest.(check bool) "detect identical" true
+    (on.P.matrix.Matrix.detect = pf.Matrix.detect);
+  Alcotest.(check bool) "omega identical" true
+    (on.P.matrix.Matrix.omega = pf.Matrix.omega)
+
+(* ---- the default campaign does not certify ---- *)
+
+let test_default_does_not_certify () =
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_enabled was_enabled)
+  @@ fun () ->
+  let b = benchmark "tow-thomas" in
+  let plain = P.run ~criterion ~points_per_decade:10 b in
+  let counters = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
+  Alcotest.(check bool) "no certification result" true (plain.P.certify = None);
+  Alcotest.(check (list string)) "no certify.* counter booked" []
+    (List.filter_map
+       (fun (name, _) ->
+         if String.starts_with ~prefix:"certify." name then Some name else None)
+       counters);
+  let on = P.run ~criterion ~points_per_decade:10 ~certify:true b in
+  Alcotest.(check bool) "the opt-in run certified" true (on.P.certify <> None);
+  Alcotest.(check bool) "detect bitwise equal" true
+    (plain.P.matrix.Matrix.detect = on.P.matrix.Matrix.detect);
+  Alcotest.(check bool) "omega bitwise equal" true
+    (Array.for_all2
+       (Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b))
+       plain.P.matrix.Matrix.omega on.P.matrix.Matrix.omega)
 
 (* ---- the campaign actually skips solves, and says so ---- *)
 
@@ -55,7 +88,7 @@ let test_solves_skipped_counter () =
       Obs.Metrics.reset ();
       Obs.Metrics.set_enabled was_enabled)
   @@ fun () ->
-  let t = P.run ~criterion ~points_per_decade:10 (benchmark "tow-thomas") in
+  let t = P.run ~criterion ~points_per_decade:10 ~certify:true (benchmark "tow-thomas") in
   let snap = Obs.Metrics.snapshot () in
   let counter name =
     match List.assoc_opt name snap.Obs.Metrics.counters with
@@ -77,10 +110,10 @@ let test_solves_skipped_counter () =
 
 let test_criterion_scope () =
   let b = benchmark "sallen-key-lp" in
-  let envelope = P.run ~points_per_decade:6 b in
+  let envelope = P.run ~points_per_decade:6 ~certify:true b in
   Alcotest.(check bool) "default envelope criterion: no certification" true
     (envelope.P.certify = None);
-  let fixed = P.run ~criterion ~points_per_decade:6 b in
+  let fixed = P.run ~criterion ~points_per_decade:6 ~certify:true b in
   Alcotest.(check bool) "fixed criterion: certification present" true
     (fixed.P.certify <> None)
 
@@ -88,7 +121,7 @@ let test_criterion_scope () =
 
 let test_cube_invariants () =
   let b = benchmark "tow-thomas" in
-  let t = P.run ~criterion ~points_per_decade:10 b in
+  let t = P.run ~criterion ~points_per_decade:10 ~certify:true b in
   match t.P.certify with
   | None -> Alcotest.fail "expected a certification"
   | Some c ->
@@ -179,9 +212,21 @@ let test_cli_certify () =
   Alcotest.(check int) "certify --json runs" 0 (run_cli "certify tow-thomas --json");
   Alcotest.(check int) "non-fixed criterion refused" 1
     (run_cli "certify tow-thomas --criterion envelope:0.04:0.02");
-  Alcotest.(check int) "--no-certify accepted" 0
-    (run_cli
-       "matrix tow-thomas --criterion fixed:0.1 --points-per-decade 5 --no-certify")
+  (* campaigns do not certify: no summary line for it *)
+  let out = Filename.temp_file "mcdft-matrix" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  Alcotest.(check int) "fixed-criterion matrix runs" 0
+    (Sys.command
+       (Printf.sprintf
+          "%s matrix tow-thomas --criterion fixed:0.1 --points-per-decade 5 > %s 2>&1"
+          mcdft_exe (Filename.quote out)));
+  let ic = open_in out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check bool) "no interval certification line" false
+    (List.exists
+       (String.starts_with ~prefix:"interval certification:")
+       (String.split_on_char '\n' text))
 
 (* ---- single parse per campaign invocation (pre-flight lint reuses
    the campaign's parse; the spice.parse counter proves it) ---- *)
@@ -221,6 +266,8 @@ let suite =
     Alcotest.test_case "registry identity (certify on = off)" `Slow
       test_registry_identity;
     Alcotest.test_case "prefilter identity" `Quick test_prefilter_identity;
+    Alcotest.test_case "default campaign does not certify" `Quick
+      test_default_does_not_certify;
     Alcotest.test_case "solves-skipped counter" `Quick test_solves_skipped_counter;
     Alcotest.test_case "criterion scope" `Quick test_criterion_scope;
     Alcotest.test_case "verdict cube invariants" `Quick test_cube_invariants;

@@ -312,6 +312,36 @@ let test_oracle_guard_rails () =
             (Oracle.verdict_to_string v))
     Oracle.all
 
+(* ---- certify-soundness names the contradicting point ---- *)
+
+(* Near-singular seeds 173, 230, 287, 645 and 674 carry a known,
+   unfixed Analysis.Certify defect: a certified 'd' byte where the
+   engine scores the point undetectable. The oracle must keep flagging
+   them, and its message must locate the point. When the defect is
+   fixed these subjects pass, and this test should move to an injected
+   contradiction. *)
+let test_certify_soundness_names_point () =
+  let oracle = Option.get (Oracle.find "certify-soundness") in
+  List.iter
+    (fun seed ->
+      match Oracle.run oracle (Gen.generate Gen.Near_singular ~seed) with
+      | Oracle.Fail message ->
+          List.iter
+            (fun part ->
+              let n = String.length part in
+              let rec has i =
+                i + n <= String.length message
+                && (String.sub message i n = part || has (i + 1))
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "#%d message names %S" seed part)
+                true (has 0))
+            [ "view "; "fault "; " Hz: certified '"; "numeric |dT|/|T|"; "eps = 0.1" ]
+      | v ->
+          Alcotest.failf "near-singular #%d: expected a failure, got %s" seed
+            (Oracle.verdict_to_string v))
+    [ 173; 230; 287; 645; 674 ]
+
 let suite =
   [
     Alcotest.test_case "generation is seed-deterministic" `Quick
@@ -343,4 +373,6 @@ let suite =
       test_oracle_registry;
     Alcotest.test_case "oracles skip malformed subjects" `Quick
       test_oracle_guard_rails;
+    Alcotest.test_case "certify-soundness names the contradicting point" `Quick
+      test_certify_soundness_names_point;
   ]

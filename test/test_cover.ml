@@ -433,9 +433,77 @@ let qcheck_ndetect_exact_strict_infeasible =
       | Cover.Solver.Infeasible tags -> tags = short && short <> []
       | Cover.Solver.Cover _ -> short = [])
 
+(* --- bitmask Petrick = IntSet reference --- *)
+
+(* Random multiplicity systems over a small pool of candidate indices
+   spread across the whole bitmask range (0 … 61), so terms share
+   literals (dedup and absorption both fire) and high bits are used;
+   need runs up to 3 and a clause may hold fewer literals than it needs
+   (unsatisfiable, ξ ≡ 0). *)
+let random_mask_system rng =
+  let pool =
+    Array.init (2 + QCheck.Gen.int_bound 6 rng) (fun _ ->
+        QCheck.Gen.int_bound (Sys.int_size - 2) rng)
+  in
+  let clause tag =
+    let lits =
+      IntSet.of_list
+        (List.init (QCheck.Gen.int_bound 4 rng) (fun _ ->
+             pool.(QCheck.Gen.int_bound (Array.length pool - 1) rng)))
+    in
+    Clause.clause ~need:(1 + QCheck.Gen.int_bound 2 rng) ~tag lits
+  in
+  {
+    Clause.n_candidates = Sys.int_size - 1;
+    clauses = List.init (1 + QCheck.Gen.int_bound 3 rng) clause;
+  }
+
+let qcheck_petrick_bitmask_exact =
+  QCheck.Test.make
+    ~name:"bitmask Petrick and xi* equal the IntSet reference, in order" ~count:300
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let p = random_mask_system rng in
+      let lists ts = List.map IntSet.elements ts in
+      let raw = Cover.Petrick.expand_raw p in
+      let reference_raw = Cover.Petrick.Sets.expand_raw p in
+      let opamps_reference t =
+        IntSet.fold
+          (fun c acc -> IntSet.union acc (Cover.Mapping.opamps_of_config c))
+          t IntSet.empty
+      in
+      lists raw = lists reference_raw
+      && lists (Cover.Petrick.expand p) = lists (Cover.Petrick.Sets.expand p)
+      && lists (Cover.Mapping.xi_star raw)
+         = lists (List.map opamps_reference reference_raw))
+
+let test_petrick_outside_mask_range () =
+  (* a literal at or above the sign bit, or a negative one, takes the
+     IntSet path *)
+  List.iter
+    (fun (big, raw) ->
+      let p = Clause.of_sets ~n_candidates:0 [ set [ 1; big ]; set [ big ] ] in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "raw with %d" big)
+        raw
+        (List.map IntSet.elements (Cover.Petrick.expand_raw p));
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "minimal with %d" big)
+        [ [ big ] ]
+        (List.map IntSet.elements (Cover.Petrick.expand p)))
+    [
+      (Sys.int_size - 1, [ [ 1; Sys.int_size - 1 ]; [ Sys.int_size - 1 ] ]);
+      (1000, [ [ 1; 1000 ]; [ 1000 ] ]);
+      (-3, [ [ -3 ]; [ -3; 1 ] ]);
+    ]
+
 let suite =
   suite
   @ [
+      QCheck_alcotest.to_alcotest qcheck_petrick_bitmask_exact;
+      Alcotest.test_case "petrick outside the bitmask range" `Quick
+        test_petrick_outside_mask_range;
       QCheck_alcotest.to_alcotest qcheck_expand_is_antichain;
       QCheck_alcotest.to_alcotest qcheck_essentials_in_every_minimal_cover;
       Alcotest.test_case "infeasible empty clause" `Quick test_infeasible_empty_clause;
