@@ -19,7 +19,6 @@ open Cmdliner
 
 module O = Mcdft_core.Optimizer
 module P = Mcdft_core.Pipeline
-module PF = Mcdft_core.Prefilter
 module IntSet = Cover.Clause.IntSet
 
 (* ---- exit codes (documented in the man page footer) ----
@@ -110,24 +109,29 @@ let load_circuit name ~source ~output =
                     center_hz;
                   }))
 
+(* Criterion parameters must be finite: "inf" parses as a float, but an
+   infinite tolerance or floor describes no campaign at all. *)
+let positive x = Float.is_finite x && x > 0.0
+let non_negative x = Float.is_finite x && x >= 0.0
+
 let parse_one_criterion s =
   match String.split_on_char ':' (String.lowercase_ascii s) with
   | [ "fixed"; eps ] -> (
       match float_of_string_opt eps with
-      | Some e when e > 0.0 -> Ok (Testability.Detect.Fixed_tolerance e)
+      | Some e when positive e -> Ok (Testability.Detect.Fixed_tolerance e)
       | _ -> Error (`Msg "fixed criterion needs a positive epsilon, e.g. fixed:0.1"))
   | [ "envelope"; tol; floor ] -> (
       match (float_of_string_opt tol, float_of_string_opt floor) with
-      | Some t, Some f when t > 0.0 && f >= 0.0 ->
+      | Some t, Some f when positive t && non_negative f ->
           Ok (Testability.Detect.Process_envelope { component_tol = t; floor = f })
       | _ -> Error (`Msg "envelope criterion needs tol and floor, e.g. envelope:0.04:0.02"))
   | [ "phase"; rad ] -> (
       match float_of_string_opt rad with
-      | Some r when r > 0.0 -> Ok (Testability.Detect.Phase_fixed r)
+      | Some r when positive r -> Ok (Testability.Detect.Phase_fixed r)
       | _ -> Error (`Msg "phase criterion needs a positive angle in radians, e.g. phase:0.1"))
   | [ "phase-envelope"; tol; floor ] -> (
       match (float_of_string_opt tol, float_of_string_opt floor) with
-      | Some t, Some f when t > 0.0 && f >= 0.0 ->
+      | Some t, Some f when positive t && non_negative f ->
           Ok (Testability.Detect.Phase_envelope { component_tol = t; floor_rad = f })
       | _ ->
           Error (`Msg "phase-envelope needs tol and floor, e.g. phase-envelope:0.04:0.05"))
@@ -210,59 +214,6 @@ let fault_kind_opt =
        & info [ "faults" ] ~docv:"KIND"
            ~doc:"Fault universe: deviation (+20%), both (±20%) or catastrophic.")
 
-let backend_opt =
-  Arg.(value
-       & opt
-           (enum
-              [
-                ("dense", Testability.Fastsim.Dense);
-                ("sparse", Testability.Fastsim.Sparse);
-                ("auto", Testability.Fastsim.Auto);
-              ])
-           Testability.Fastsim.Auto
-       & info [ "backend" ] ~docv:"KIND"
-           ~doc:"MNA factorization backend: dense (planar LU), sparse \
-                 (Markowitz-ordered CSC LU) or auto (sparse once the system is \
-                 large and sparse enough; default).")
-
-let no_prune_flag =
-  Arg.(value & flag
-       & info [ "no-prune" ]
-           ~doc:"Simulate every test configuration even when several assemble \
-                 to value-identical MNA systems; by default one representative \
-                 per equivalence class is solved and its verdict rows are \
-                 replicated.")
-
-let adaptive_opt =
-  Arg.(value
-       & vflag true
-           [
-             ( true,
-               info [ "adaptive" ]
-                 ~doc:"Coverage-directed coarse-to-fine campaign (the \
-                       default): each (configuration, fault) row starts on a \
-                       coarse subgrid and bisects only where verdicts flip or \
-                       margins run thin; the matrices are bitwise identical \
-                       to the exhaustive sweep." );
-             ( false,
-               info [ "no-adaptive" ]
-                 ~doc:"Solve every grid point of every (configuration, \
-                       fault) row exhaustively." );
-           ])
-
-let solve_budget_opt =
-  Arg.(value & opt (some int) None
-       & info [ "solve-budget" ] ~docv:"N"
-           ~doc:"Per-row cap on the numeric solves the adaptive refinement \
-                 may issue; a row that would exceed it degrades to the \
-                 exhaustive sweep for that row — a verdict is never guessed. \
-                 Must be positive; ignored with $(b,--no-adaptive).")
-
-let check_solve_budget = function
-  | Some n when n <= 0 ->
-      die 2 "--solve-budget must be a positive integer (got %d)" n
-  | budget -> budget
-
 (* True totals: the envelope-drift solves that instantiate the
    thresholds are paid in full by both campaigns (refinement never
    touches them), so the reduction compares everything an exhaustive
@@ -276,13 +227,10 @@ let adaptive_summary =
       Printf.printf
         "adaptive refinement: solved %d of %d fault points + %d envelope \
          solves (%.1fx fewer solves than exhaustive, %d skipped, %d \
-         bisections%s)\n"
+         bisections)\n"
         s.A.solved s.A.points s.A.envelope_solves
         (float_of_int exhaustive /. float_of_int (max 1 actual))
-        s.A.skipped s.A.bisections
-        (if s.A.budget_exhausted > 0 then
-           Printf.sprintf ", %d rows degraded" s.A.budget_exhausted
-         else ""))
+        s.A.skipped s.A.bisections)
 
 (* The coverage estimator needs a scalar magnitude threshold and a
    component spread; phase-only criteria expose neither. An envelope
@@ -834,7 +782,7 @@ let certify_cmd =
           $ trace_opt)
 
 let analyze_cmd =
-  let run name source output criterion ppd fault_kind fault_element backend =
+  let run name source output criterion ppd fault_kind fault_element =
     with_circuit name source output (fun b ->
         let faults =
           match fault_element with
@@ -852,7 +800,7 @@ let analyze_cmd =
           }
         in
         let results =
-          Testability.Detect.analyze ~backend ~criterion probe grid
+          Testability.Detect.analyze ~criterion probe grid
             b.Circuits.Benchmark.netlist faults
         in
         Printf.printf "circuit: %s   criterion: %s\n" b.Circuits.Benchmark.name
@@ -880,33 +828,16 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Testability of the functional configuration (paper Sec. 2)")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ fault_element_opt $ backend_opt)
+          $ fault_kind_opt $ fault_element_opt)
 
 let matrix_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default prefilter backend
-      no_prune adaptive solve_budget metrics trace =
-    let solve_budget = check_solve_budget solve_budget in
+  let run name source output criterion ppd fault_kind jobs gc_default metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let m, plan, pruning, refinement =
-          if prefilter then
-            let plan, m =
-              PF.run ~criterion ~points_per_decade:ppd ~faults ~adaptive
-                ?solve_budget b
-            in
-            (m, Some plan, None, None)
-          else
-            let t =
-              P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-                ~prune:(not no_prune) ~adaptive ?solve_budget b
-            in
-            ( t.P.matrix,
-              None,
-              Some (t.P.equivalence_groups, t.P.pruned_configs),
-              t.P.adaptive )
-        in
+        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
+        let m = t.P.matrix in
         let fault_ids = Array.map (fun f -> f.Fault.id) m.Testability.Matrix.faults in
         let header = "" :: Array.to_list fault_ids in
         Printf.printf "fault detectability matrix (%s):\n" (criterion_str criterion);
@@ -931,49 +862,29 @@ let matrix_cmd =
                    m.Testability.Matrix.omega)));
         Printf.printf "\nmax fault coverage: %.1f%%\n"
           (100.0 *. Testability.Matrix.max_fault_coverage m);
-        Option.iter
-          (fun (groups, pruned) ->
-            Printf.printf
-              "campaign pruning: %d equivalence group%s, %d configuration row%s \
-               replicated\n"
-              groups
-              (if groups = 1 then "" else "s")
-              pruned
-              (if pruned = 1 then "" else "s"))
-          pruning;
-        Option.iter
-          (fun (plan : PF.t) ->
-            Printf.printf
-              "structural prefilter: skipped %d of %d (configuration, fault) sweeps\n"
-              plan.PF.pruned_pairs plan.PF.total_pairs)
-          plan;
-        adaptive_summary refinement)
-  in
-  let prefilter_flag =
-    Arg.(value & flag
-         & info [ "prefilter" ]
-             ~doc:"Skip (configuration, fault) sweeps the structural detectability \
-                   pre-pass proves undetectable; the matrix is unchanged.")
+        let groups = t.P.equivalence_groups and pruned = t.P.pruned_configs in
+        Printf.printf
+          "campaign pruning: %d equivalence group%s, %d configuration row%s \
+           replicated\n"
+          groups
+          (if groups = 1 then "" else "s")
+          pruned
+          (if pruned = 1 then "" else "s");
+        adaptive_summary t.P.adaptive)
   in
   Cmd.v
     (Cmd.info "matrix" ~doc:"Fault detectability matrix over all test configurations")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ prefilter_flag $ backend_opt
-          $ no_prune_flag $ adaptive_opt $ solve_budget_opt $ metrics_opt
-          $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ metrics_opt $ trace_opt)
 
 let optimize_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default n_detect backend
-      no_prune adaptive solve_budget json metrics trace =
-    let solve_budget = check_solve_budget solve_budget in
+  let run name source output criterion ppd fault_kind jobs gc_default n_detect json
+      metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~prune:(not no_prune) ~adaptive ?solve_budget b
-        in
+        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let r = P.optimize ~n_detect t in
         if json then
           let snap =
@@ -1079,22 +990,16 @@ let optimize_cmd =
     (Cmd.info "optimize"
        ~doc:"Ordered-requirements optimization of the multi-configuration DFT (Sec. 4)")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ n_detect_opt $ backend_opt
-          $ no_prune_flag $ adaptive_opt $ solve_budget_opt $ json_flag
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ n_detect_opt $ json_flag
           $ metrics_opt $ trace_opt)
 
 let testplan_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default backend no_prune
-      adaptive solve_budget metrics trace =
-    let solve_budget = check_solve_budget solve_budget in
+  let run name source output criterion ppd fault_kind jobs gc_default metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~prune:(not no_prune) ~adaptive ?solve_budget b
-        in
+        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let plan = Mcdft_core.Test_plan.build t in
         print_string (Mcdft_core.Test_plan.to_string plan))
   in
@@ -1102,8 +1007,7 @@ let testplan_cmd =
     (Cmd.info "testplan"
        ~doc:"Minimal (configuration, frequency) measurement schedule")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ no_prune_flag
-          $ adaptive_opt $ solve_budget_opt $ metrics_opt $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ metrics_opt $ trace_opt)
 
 let sweep_cmd =
   let run name source output ppd csv =
@@ -1188,13 +1092,13 @@ let diagnose_cmd =
          (List.filteri (fun i _ -> i < show) v.T.ranking
          |> List.map (fun (f, d) -> Printf.sprintf "%s=%.3g" f.Fault.id d)))
   in
-  let run name source output criterion ppd fault_kind jobs gc_default backend tolerance
+  let run name source output criterion ppd fault_kind jobs gc_default tolerance
       configs simulate simulate_all observe metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend b in
+        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let traj = T.of_pipeline ?tolerance ?configs t in
         Printf.printf "circuit: %s   measurements: %d points (%d faults)\n"
           b.Circuits.Benchmark.name (T.n_measurements traj) (List.length faults);
@@ -1319,16 +1223,16 @@ let diagnose_cmd =
          "Fault location by nearest response trajectory: ambiguity sets, \
           self-tests, and classification of observed responses")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ tolerance_opt
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ tolerance_opt
           $ configs_opt $ simulate_opt $ simulate_all_flag $ observe_opt $ metrics_opt
           $ trace_opt)
 
 let blocks_cmd =
-  let run name source output criterion ppd jobs gc_default backend metrics trace =
+  let run name source output criterion ppd jobs gc_default metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
-        let t = P.run ~criterion ~points_per_decade:ppd ~jobs ~backend b in
+        let t = P.run ~criterion ~points_per_decade:ppd ~jobs b in
         let rows =
           List.map
             (fun (r : Mcdft_core.Block_access.report) ->
@@ -1353,7 +1257,7 @@ let blocks_cmd =
     (Cmd.info "blocks"
        ~doc:"Embedded-block access: per-opamp coverage via the transparency mechanism")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ jobs_opt $ gc_default_opt $ backend_opt $ metrics_opt $ trace_opt)
+          $ jobs_opt $ gc_default_opt $ metrics_opt $ trace_opt)
 
 let fuzz_cmd =
   (* "45", "45s" or "3m" *)

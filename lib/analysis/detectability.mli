@@ -4,11 +4,11 @@
     over-approximation of the elements able to affect the output there.
     This module lifts that per-configuration pass into a
     (configuration x fault) boolean matrix — [true] meaning "fault f is
-    {e structurally undetectable} in configuration C_i, skip its
-    simulation" — which {!Mcdft_core.Prefilter} consumes to prune the
-    fault-simulation campaign. Soundness: a pruned pair is guaranteed a
-    "not detected" matrix entry, so pruning never changes the campaign
-    result (pinned by tests). *)
+    {e structurally undetectable} in configuration C_i" — which lint
+    reports as F001/P001. Soundness: a marked pair reads "not detected"
+    with ω 0 in the campaign's matrix (pinned by tests on tow-thomas;
+    structurally dead views whose round-off response clears the
+    measurement floor can still vote, see ROADMAP item 1). *)
 
 type t = {
   configs : Multiconfig.Configuration.t array;
@@ -31,8 +31,8 @@ val analyse :
 (** [faults] defaults to one +20 % deviation per passive. *)
 
 val skip_count : t -> int
-(** Number of [true] entries — the (configuration, fault) sweeps the
-    campaign can skip. *)
+(** Number of [true] entries — the (configuration, fault) pairs that
+    provably yield no detection. *)
 
 val total_pairs : t -> int
 

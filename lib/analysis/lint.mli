@@ -11,8 +11,8 @@
       singularity (C002), broken test-input chains (C003), and
       structurally equivalent configuration pairs (C004, info);
     - {e detectability} — faults no test configuration can structurally
-      observe (F001), plus a summary of the prunable
-      (configuration, fault) pairs (P001, info);
+      observe (F001), plus a count of the (configuration, fault) pairs
+      that provably yield no detection (P001, info);
     - {e interval certification} — faults whose undetectability at the
       paper's fixed ε = 0.1 is {e certified} by the interval abstract
       interpreter ({!Certify}) at every probed frequency in every test

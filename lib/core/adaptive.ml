@@ -9,7 +9,6 @@ type stats = {
   solved : int;
   skipped : int;
   bisections : int;
-  budget_exhausted : int;
   envelope_solves : int;
 }
 
@@ -21,10 +20,9 @@ module Refine = struct
     verdicts : Bytes.t;
     solved : int list;
     bisections : int;
-    degraded : bool;
   }
 
-  let row ~nf ~stride ~step_dec ~guard ~steer_range ~budget ~certified ~solve =
+  let row ~nf ~stride ~step_dec ~guard ~steer_range ~certified ~solve =
     if nf <= 0 then invalid_arg "Adaptive.Refine.row: empty grid";
     if stride <= 0 then invalid_arg "Adaptive.Refine.row: stride must be positive";
     if not (step_dec >= 0.0) then
@@ -38,20 +36,15 @@ module Refine = struct
           invalid_arg "Adaptive.Refine.row: certified byte outside 'd'/'u'/'?'")
       v;
     let margins = Array.make nf Float.nan in
-    let solved = ref [] and n_solved = ref 0 in
+    let solved = ref [] in
     let bisections = ref 0 in
-    let degraded = ref false in
-    let budget_left () =
-      match budget with None -> max_int | Some b -> b - !n_solved
-    in
     let do_solve i =
       let b, m = solve i in
       if b <> 'd' && b <> 'u' then
         invalid_arg "Adaptive.Refine.row: solve returned a byte outside 'd'/'u'";
       Bytes.set v i b;
       margins.(i) <- m;
-      solved := i :: !solved;
-      incr n_solved
+      solved := i :: !solved
     in
     (* Coarse pass: every [stride]-th point plus the final one, so
        every eventual '?' run is bracketed by known anchors. Certified
@@ -61,9 +54,7 @@ module Refine = struct
       if Bytes.get v i = '?' && (i mod stride = 0 || i = nf - 1) then
         coarse := i :: !coarse
     done;
-    let coarse = !coarse in
-    if budget_left () < List.length coarse then degraded := true
-    else List.iter do_solve coarse;
+    List.iter do_solve !coarse;
     (* Refinement between adjacent known points. Disagreeing endpoint
        verdicts are bisected down to adjacency unconditionally — the
        crossing is known to be inside. Agreeing endpoints may still
@@ -95,7 +86,7 @@ module Refine = struct
       if Float.is_nan m then 0.0 else Float.abs m
     in
     let rec refine lo hi =
-      if (not !degraded) && hi - lo > 1 then begin
+      if hi - lo > 1 then begin
         let flip = Bytes.get v lo <> Bytes.get v hi in
         let safe =
           (not flip)
@@ -103,65 +94,44 @@ module Refine = struct
              > (guard *. step_dec *. float_of_int (hi - lo))
                +. steer_range lo hi
         in
-        if not safe then
-          if budget_left () < 1 then degraded := true
-          else begin
-            let mid = (lo + hi) / 2 in
-            do_solve mid;
-            incr bisections;
-            refine lo mid;
-            refine mid hi
-          end
+        if not safe then begin
+          let mid = (lo + hi) / 2 in
+          do_solve mid;
+          incr bisections;
+          refine lo mid;
+          refine mid hi
+        end
       end
     in
-    if not !degraded then begin
-      let prev = ref (-1) in
-      for i = 0 to nf - 1 do
-        if Bytes.get v i <> '?' then begin
-          if !prev >= 0 then refine !prev i;
-          prev := i
-        end
-      done
-    end;
-    if !degraded then
-      (* The budget ran out: degrade to the exhaustive sweep — solve
-         every still-unknown point rather than guess any verdict. *)
-      for i = 0 to nf - 1 do
-        if Bytes.get v i = '?' then do_solve i
-      done
-    else begin
-      (* Fill: each remaining '?' run is bracketed by anchors whose
-         verdicts agree (a disagreement would have been bisected down
-         to adjacency), so the interior inherits the shared verdict. *)
-      let p = ref 0 in
-      while !p < nf do
-        if Bytes.get v !p <> '?' then incr p
-        else begin
-          let q = ref !p in
-          while !q < nf && Bytes.get v !q = '?' do
-            incr q
-          done;
-          let b = Bytes.get v (!p - 1) in
-          assert (!q < nf && Bytes.get v !q = b);
-          Bytes.fill v !p (!q - !p) b;
-          p := !q
-        end
-      done
-    end;
-    { verdicts = v; solved = List.rev !solved; bisections = !bisections;
-      degraded = !degraded }
+    let prev = ref (-1) in
+    for i = 0 to nf - 1 do
+      if Bytes.get v i <> '?' then begin
+        if !prev >= 0 then refine !prev i;
+        prev := i
+      end
+    done;
+    (* Fill: each remaining '?' run is bracketed by anchors whose
+       verdicts agree (a disagreement would have been bisected down to
+       adjacency), so the interior inherits the shared verdict. *)
+    let p = ref 0 in
+    while !p < nf do
+      if Bytes.get v !p <> '?' then incr p
+      else begin
+        let q = ref !p in
+        while !q < nf && Bytes.get v !q = '?' do
+          incr q
+        done;
+        let b = Bytes.get v (!p - 1) in
+        assert (!q < nf && Bytes.get v !q = b);
+        Bytes.fill v !p (!q - !p) b;
+        p := !q
+      end
+    done;
+    { verdicts = v; solved = List.rev !solved; bisections = !bisections }
 end
 
-let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
-    ?(stride = default_stride) ?(guard = default_guard) grid views faults =
+let build ?backend ?certified ?criterion ?(jobs = 1) grid views faults =
   Obs.Trace.span "adaptive.build" @@ fun () ->
-  (match solve_budget with
-  | Some b when b <= 0 ->
-      invalid_arg "Adaptive.build: solve budget must be positive"
-  | _ -> ());
-  if stride <= 0 then invalid_arg "Adaptive.build: stride must be positive";
-  if not (guard >= 0.0) then
-    invalid_arg "Adaptive.build: guard must be non-negative";
   let views = Array.of_list views in
   let faults = Array.of_list faults in
   let n = Array.length views and m = Array.length faults in
@@ -177,7 +147,6 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
   let verdict_rows = Array.make_matrix n m Bytes.empty in
   let row_solved = Array.make_matrix n m 0 in
   let row_bisections = Array.make_matrix n m 0 in
-  let row_degraded = Array.make_matrix n m false in
   let envelope_solves = ref 0 in
   (* Phase 1, per window — {!Matrix.stream} prepares the window's views
      (engine, thresholds, warmed back-solve cache, immutable plans),
@@ -249,13 +218,13 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
                 0.0 steers
             in
             let o =
-              Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
-                ~budget:solve_budget ~certified:certified_byte ~solve
+              Refine.row ~nf ~stride:default_stride ~step_dec
+                ~guard:default_guard ~steer_range ~certified:certified_byte
+                ~solve
             in
             verdict_rows.(i).(j) <- o.Refine.verdicts;
             row_solved.(i).(j) <- List.length o.Refine.solved;
-            row_bisections.(i).(j) <- o.Refine.bisections;
-            row_degraded.(i).(j) <- o.Refine.degraded)
+            row_bisections.(i).(j) <- o.Refine.bisections)
   in
   let certified_points =
     Matrix.stream ?backend ?certified ?criterion ~jobs grid views faults score
@@ -264,7 +233,7 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
      the matrix and the adaptive.* totals are jobs-deterministic. *)
   let detect = Array.make_matrix n m false in
   let omega = Array.make_matrix n m 0.0 in
-  let solved = ref 0 and bisections = ref 0 and degraded_rows = ref 0 in
+  let solved = ref 0 and bisections = ref 0 in
   Obs.Trace.span "adaptive.reduce" (fun () ->
       for i = 0 to n - 1 do
         for j = 0 to m - 1 do
@@ -272,16 +241,13 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
           detect.(i).(j) <- r.Detect.detectable;
           omega.(i).(j) <- r.Detect.omega_det;
           solved := !solved + row_solved.(i).(j);
-          bisections := !bisections + row_bisections.(i).(j);
-          if row_degraded.(i).(j) then incr degraded_rows
+          bisections := !bisections + row_bisections.(i).(j)
         done
       done);
   let points = n * m * nf in
   let skipped = points - certified_points - !solved in
   if skipped > 0 then Obs.Metrics.incr ~by:skipped "adaptive.solves_skipped";
   if !bisections > 0 then Obs.Metrics.incr ~by:!bisections "adaptive.bisections";
-  if !degraded_rows > 0 then
-    Obs.Metrics.incr ~by:!degraded_rows "adaptive.budget_exhausted";
   ( { Matrix.views; faults; detect; omega },
     {
       rows = n * m;
@@ -290,6 +256,5 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
       solved = !solved;
       skipped;
       bisections = !bisections;
-      budget_exhausted = !degraded_rows;
       envelope_solves = !envelope_solves;
     } )

@@ -44,11 +44,7 @@
     ['d']/['u'] bytes act as free anchors (they are known without
     solving, and flips against them trigger bisection) and only the
     residual ['?'] points are candidates for numeric solves — the
-    static certificates seed the numeric refinement.
-
-    A per-row solve budget bounds the refinement: a row that would
-    exceed it degrades to the exhaustive sweep for that row — solving
-    every remaining point — rather than ever guessing a verdict. *)
+    static certificates seed the numeric refinement. *)
 
 type stats = {
   rows : int;  (** scored (view × fault) rows *)
@@ -59,7 +55,6 @@ type stats = {
       (** points filled from equal-verdict interval endpoints —
           [points - certified - solved] *)
   bisections : int;  (** midpoint solves beyond the coarse pass *)
-  budget_exhausted : int;  (** rows degraded to the exhaustive sweep *)
   envelope_solves : int;
       (** point solves spent on the criterion's thresholds (one per
           passive drift and frequency for each envelope criterion, 0
@@ -90,7 +85,6 @@ module Refine : sig
         (** every byte decided (['d'] or ['u']), length [nf] *)
     solved : int list;  (** indices solved numerically, in solve order *)
     bisections : int;  (** solves issued by interval bisection *)
-    degraded : bool;  (** the budget ran out and the row went exhaustive *)
   }
 
   val row :
@@ -99,7 +93,6 @@ module Refine : sig
     step_dec:float ->
     guard:float ->
     steer_range:(int -> int -> float) ->
-    budget:int option ->
     certified:(int -> char) ->
     solve:(int -> char * float) ->
     outcome
@@ -119,11 +112,7 @@ module Refine : sig
       variation of the margin's static profile over the closed
       interval; a certified anchor or a failed solve ([nan]) carries
       no margin and contributes zero to the test, so refinement stops
-      at it rather than skipping past. [budget] caps the numeric
-      solves the adaptive strategy may issue; once it would be
-      exceeded the row degrades: every still-unknown point is solved
-      (the row {e is} the exhaustive sweep, budget notwithstanding)
-      and [degraded] is set. Raises [Invalid_argument] on [nf <= 0],
+      at it rather than skipping past. Raises [Invalid_argument] on [nf <= 0],
       [stride <= 0], negative [step_dec]/[guard] or a byte outside the
       verdict alphabet. *)
 end
@@ -133,9 +122,6 @@ val build :
   ?certified:Bytes.t option array array ->
   ?criterion:Testability.Detect.criterion ->
   ?jobs:int ->
-  ?solve_budget:int ->
-  ?stride:int ->
-  ?guard:float ->
   Testability.Grid.t ->
   Testability.Matrix.view list ->
   Fault.t list ->
@@ -152,13 +138,10 @@ val build :
     [certified] is the {!Analysis.Certify} verdict cube, exactly as
     {!Testability.Matrix.stream} takes it (shape-checked, same
     [certify.solves_skipped]/[certify.cells_proved] accounting); only
-    [Pipeline.run ~certify:true] passes one.
-    [solve_budget] is the per-row cap handed to {!Refine.row}
-    (positive; default unlimited). [stride] defaults to
-    {!default_stride}, [guard] to {!default_guard}.
+    [Pipeline.run ~certify:true] passes one. Every row is refined
+    with {!default_stride} and {!default_guard}.
 
     Counters — incremented sequentially after the parallel scoring
     phase, so they are jobs-invariant by construction:
-    [adaptive.solves_skipped] (points filled without solving),
-    [adaptive.bisections], [adaptive.budget_exhausted] (degraded
-    rows). *)
+    [adaptive.solves_skipped] (points filled without solving) and
+    [adaptive.bisections]. *)

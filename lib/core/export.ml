@@ -135,7 +135,6 @@ let adaptive_to_json (s : Adaptive.stats) =
       ("solved", J.int s.Adaptive.solved);
       ("solves_skipped", J.int s.Adaptive.skipped);
       ("bisections", J.int s.Adaptive.bisections);
-      ("budget_exhausted", J.int s.Adaptive.budget_exhausted);
       ("envelope_solves", J.int s.Adaptive.envelope_solves);
     ]
 

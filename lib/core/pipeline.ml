@@ -17,7 +17,7 @@ let default_criterion =
 
 let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
     ?follower_model ?jobs ?backend ?(prune = true) ?(certify = false)
-    ?(adaptive = true) ?solve_budget (benchmark : Circuits.Benchmark.t) =
+    ?(adaptive = true) (benchmark : Circuits.Benchmark.t) =
   Obs.Trace.span "pipeline.run" @@ fun () ->
   let netlist = benchmark.Circuits.Benchmark.netlist in
   Circuit.Validate.check_exn netlist;
@@ -120,8 +120,7 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
   let rep_matrix, adaptive_stats =
     if adaptive then
       let matrix, stats =
-        Adaptive.build ?backend ?certified ~criterion ?jobs ?solve_budget grid
-          rep_views faults
+        Adaptive.build ?backend ?certified ~criterion ?jobs grid rep_views faults
       in
       (matrix, Some stats)
     else

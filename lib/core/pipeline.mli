@@ -49,7 +49,6 @@ val run :
   ?prune:bool ->
   ?certify:bool ->
   ?adaptive:bool ->
-  ?solve_budget:int ->
   Circuits.Benchmark.t ->
   t
 (** Defaults: {!default_criterion}, the paper's +20 % deviation fault
@@ -61,6 +60,13 @@ val run :
     the campaign across domains (see {!Testability.Matrix.build});
     [backend] selects the per-view factorization
     ({!Testability.Fastsim.backend}, default [Auto]).
+
+    The CLI runs every campaign with the defaults of [backend],
+    [prune], [certify] and [adaptive]. The non-default values select
+    reference paths for tests, the conformance oracles and the
+    measurement tools: [~prune:false ~adaptive:false] is the exhaustive
+    reference the campaign benchmark checks against, and a forced
+    [backend] compares the dense and sparse engines.
 
     [prune] (default [true]) simulates one representative per class of
     configurations whose assembled systems are value-identical up to
@@ -92,10 +98,8 @@ val run :
     (seeded by the certify cube where one exists) replace the
     exhaustive per-point sweep, with bitwise-identical matrices
     ([adaptive.solves_skipped] / [adaptive.bisections] metrics).
-    [solve_budget] caps the adaptive solves per (view × fault) row;
-    an exceeded row degrades to the exhaustive sweep
-    ([adaptive.budget_exhausted]). Works under every criterion —
-    envelope and phase criteria refine with no certify seed. *)
+    Works under every criterion — envelope and phase criteria refine
+    with no certify seed. *)
 
 val optimize : ?petrick_limit:int -> ?n_detect:int -> t -> Optimizer.report
 

@@ -5,11 +5,10 @@
    whose margins obey the slope bound the refinement assumes — a
    random Lipschitz walk in the log deviation-to-threshold ratio. On
    such rows the skip rule is provably sound, so the refined row must
-   reproduce the truth byte for byte, an isolated flip can never be
-   inferred from its neighbours and must appear in the solved set, and
-   a starved budget must degrade to the exhaustive sweep rather than
-   ever guess. The end-to-end and CLI cases then pin the same
-   invariant on the real engine. *)
+   reproduce the truth byte for byte, and an isolated flip can never
+   be inferred from its neighbours and must appear in the solved set.
+   The end-to-end cases then pin the same invariant on the real
+   engine. *)
 
 module A = Mcdft_core.Adaptive
 module P = Mcdft_core.Pipeline
@@ -46,10 +45,9 @@ let gen_row seed =
 
 let byte_of r i = if r.margins.(i) > 0.0 then 'd' else 'u'
 
-let refine ?budget ?(certified = fun _ -> '?') r =
+let refine ?(certified = fun _ -> '?') r =
   A.Refine.row ~nf:r.nf ~stride:r.stride ~step_dec:r.step_dec ~guard:r.guard
     ~steer_range:(fun _ _ -> 0.0)
-    ~budget
     ~certified
     ~solve:(fun i -> (byte_of r i, r.margins.(i)))
 
@@ -80,22 +78,8 @@ let qcheck_refined_row_exact =
             && not (List.mem i o.A.Refine.solved)
           then solved_ok := false
         done;
-        !solved_ok && not o.A.Refine.degraded
+        !solved_ok
       end)
-
-let qcheck_budget_degrades_never_guesses =
-  QCheck.Test.make
-    ~name:"a starved solve budget degrades to exhaustive, never a wrong byte"
-    ~count:500
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let r = gen_row seed in
-      let budget = 1 + (seed mod 6) in
-      let o = refine ~budget r in
-      row_matches r o
-      && (o.A.Refine.degraded || List.length o.A.Refine.solved <= budget)
-      && List.sort_uniq Int.compare o.A.Refine.solved
-         = List.sort Int.compare o.A.Refine.solved)
 
 let qcheck_certified_anchors_never_solved =
   QCheck.Test.make
@@ -113,13 +97,13 @@ let qcheck_certified_anchors_never_solved =
 
 (* ---- end-to-end: adaptive pipeline = exhaustive pipeline ---- *)
 
-let run_pipeline ?solve_budget ~adaptive ~criterion () =
+let run_pipeline ~adaptive ~criterion () =
   let b = Circuits.Tow_thomas.make () in
-  P.run ~criterion ~points_per_decade:6 ~jobs:1 ~adaptive ?solve_budget b
+  P.run ~criterion ~points_per_decade:6 ~jobs:1 ~adaptive b
 
-let check_identical ~what criterion ?solve_budget () =
+let check_identical ~what criterion =
   let exhaustive = run_pipeline ~adaptive:false ~criterion () in
-  let t = run_pipeline ~adaptive:true ~criterion ?solve_budget () in
+  let t = run_pipeline ~adaptive:true ~criterion () in
   let me = exhaustive.P.matrix and ma = t.P.matrix in
   Alcotest.(check bool)
     (what ^ ": detect bitwise identical")
@@ -139,13 +123,17 @@ let check_identical ~what criterion ?solve_budget () =
       s
 
 let test_pipeline_identity_envelope () =
-  let s = check_identical ~what:"envelope" P.default_criterion () in
+  let s = check_identical ~what:"envelope" P.default_criterion in
   Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
 
 let test_pipeline_identity_fixed () =
   let s =
-    check_identical ~what:"fixed" (Testability.Detect.Fixed_tolerance 0.10) ()
+    check_identical ~what:"fixed" (Testability.Detect.Fixed_tolerance 0.10)
   in
+  Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
+
+let test_pipeline_identity_phase () =
+  let s = check_identical ~what:"phase" (Testability.Detect.Phase_fixed 0.1) in
   Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
 
 (* leapfrog5 under the phase envelope at 30 points per decade: in
@@ -204,14 +192,6 @@ let test_phase_envelope_resonance_identity () =
     (Array.map (Array.map Int64.bits_of_float) me.Testability.Matrix.omega)
     (Array.map (Array.map Int64.bits_of_float) ma.Testability.Matrix.omega)
 
-let test_pipeline_identity_starved_budget () =
-  (* a 2-solve budget forces essentially every row to degrade; the
-     matrices must still be the exhaustive ones *)
-  let s =
-    check_identical ~what:"budget=2" P.default_criterion ~solve_budget:2 ()
-  in
-  Alcotest.(check bool) "rows degraded" true (s.A.budget_exhausted > 0)
-
 (* ---- CLI surface ---- *)
 
 let mcdft_exe = "../bin/mcdft.exe"
@@ -221,38 +201,6 @@ let run_capture cmd file =
     Sys.command (Printf.sprintf "%s %s > %s 2>&1" mcdft_exe cmd file)
   in
   (code, In_channel.with_open_text file In_channel.input_all)
-
-let non_summary_lines out =
-  List.filter
-    (fun l -> not (String.length l >= 8 && String.sub l 0 8 = "adaptive"))
-    (String.split_on_char '\n' out)
-
-(* table-driven: the numeric tables printed with and without
-   --adaptive must be byte-identical on every criterion family *)
-let cli_criteria =
-  [
-    ("envelope", "envelope:0.04:0.02");
-    ("fixed", "fixed:0.1");
-    ("phase", "phase:0.1");
-  ]
-
-let test_cli_adaptive_identity () =
-  List.iter
-    (fun (what, crit) ->
-      let args =
-        Printf.sprintf "matrix tow-thomas --points-per-decade 4 --criterion %s"
-          crit
-      in
-      let c1, on = run_capture (args ^ " --adaptive") "tmp_adaptive_on.txt" in
-      let c2, off = run_capture (args ^ " --no-adaptive") "tmp_adaptive_off.txt" in
-      Alcotest.(check int) (what ^ ": --adaptive exits 0") 0 c1;
-      Alcotest.(check int) (what ^ ": --no-adaptive exits 0") 0 c2;
-      Alcotest.(check (list string))
-        (what ^ ": tables identical modulo the summary line")
-        (non_summary_lines off) (non_summary_lines on);
-      Sys.remove "tmp_adaptive_on.txt";
-      Sys.remove "tmp_adaptive_off.txt")
-    cli_criteria
 
 let test_cli_summary_line_format () =
   let _, out =
@@ -358,18 +306,15 @@ let test_coverage_run_validation () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_refined_row_exact;
-    QCheck_alcotest.to_alcotest qcheck_budget_degrades_never_guesses;
     QCheck_alcotest.to_alcotest qcheck_certified_anchors_never_solved;
     Alcotest.test_case "adaptive pipeline = exhaustive (envelope)" `Quick
       test_pipeline_identity_envelope;
     Alcotest.test_case "adaptive pipeline = exhaustive (fixed)" `Quick
       test_pipeline_identity_fixed;
+    Alcotest.test_case "adaptive pipeline = exhaustive (phase)" `Quick
+      test_pipeline_identity_phase;
     Alcotest.test_case "adaptive = exhaustive at a leapfrog5 phase resonance" `Quick
       test_phase_envelope_resonance_identity;
-    Alcotest.test_case "starved budget degrades, matrices intact" `Quick
-      test_pipeline_identity_starved_budget;
-    Alcotest.test_case "CLI --adaptive leaves every table byte-identical" `Slow
-      test_cli_adaptive_identity;
     Alcotest.test_case "CLI adaptive summary line parses and adds up" `Quick
       test_cli_summary_line_format;
     Alcotest.test_case "coverage_run accounting is sound" `Quick

@@ -196,26 +196,6 @@ let test_lint_registry_clean () =
         (List.length (Finding.errors findings)))
     (Circuits.Registry.all ())
 
-(* ---- detectability pre-pass ---- *)
-
-let test_detectability_consistency () =
-  let b = Option.get (Circuits.Registry.find "tow-thomas") in
-  let dft =
-    Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
-      ~output:b.Circuits.Benchmark.output b.Circuits.Benchmark.netlist
-  in
-  let det = Analysis.Detectability.analyse dft in
-  let plan = Mcdft_core.Prefilter.analyse dft in
-  Alcotest.(check int) "skip_count = pruned_pairs"
-    plan.Mcdft_core.Prefilter.pruned_pairs
-    (Analysis.Detectability.skip_count det);
-  Alcotest.(check int) "total_pairs agree" plan.Mcdft_core.Prefilter.total_pairs
-    (Analysis.Detectability.total_pairs det);
-  Alcotest.(check bool) "pruning is non-trivial" true
-    (Analysis.Detectability.skip_count det > 0);
-  Alcotest.(check int) "every fault detectable somewhere" 0
-    (List.length (Analysis.Detectability.undetectable_everywhere det))
-
 (* ---- structural verdict vs numeric LU ---- *)
 
 (* A random connected soup — ladder + optional bridge + at most one
@@ -256,7 +236,5 @@ let suite =
     Alcotest.test_case "lint: V loop golden" `Quick test_lint_vloop;
     Alcotest.test_case "lint: broken chain golden" `Quick test_lint_broken_chain;
     Alcotest.test_case "lint: registry circuits are clean" `Quick test_lint_registry_clean;
-    Alcotest.test_case "detectability: prefilter consistency" `Quick
-      test_detectability_consistency;
     QCheck_alcotest.to_alcotest qcheck_structural_sound;
   ]

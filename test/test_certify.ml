@@ -6,7 +6,6 @@
 
 open Testability
 module P = Mcdft_core.Pipeline
-module PF = Mcdft_core.Prefilter
 module C = Analysis.Certify
 
 let benchmark name =
@@ -38,17 +37,6 @@ let test_registry_identity () =
         true
         (on.P.certify <> None && off.P.certify = None))
     (Circuits.Registry.all ())
-
-(* the structural prefilter never certifies; its matrices equal those
-   of a campaign that consumed the certificates *)
-let test_prefilter_identity () =
-  let b = benchmark "tow-thomas" in
-  let on = P.run ~criterion ~points_per_decade:10 ~certify:true b in
-  let _, pf = PF.run ~criterion ~points_per_decade:10 b in
-  Alcotest.(check bool) "detect identical" true
-    (on.P.matrix.Matrix.detect = pf.Matrix.detect);
-  Alcotest.(check bool) "omega identical" true
-    (on.P.matrix.Matrix.omega = pf.Matrix.omega)
 
 (* ---- the default campaign does not certify ---- *)
 
@@ -265,7 +253,6 @@ let suite =
   [
     Alcotest.test_case "registry identity (certify on = off)" `Slow
       test_registry_identity;
-    Alcotest.test_case "prefilter identity" `Quick test_prefilter_identity;
     Alcotest.test_case "default campaign does not certify" `Quick
       test_default_does_not_certify;
     Alcotest.test_case "solves-skipped counter" `Quick test_solves_skipped_counter;

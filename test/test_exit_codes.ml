@@ -44,19 +44,21 @@ let table =
     ( "n-detect must be positive",
       "optimize tow-thomas --n-detect 0",
       124 );
-    ( "adaptive campaign on a matrix run",
-      "matrix tow-thomas --adaptive --points-per-decade 3",
-      0 );
-    ( "exhaustive campaign on a matrix run",
-      "matrix tow-thomas --no-adaptive --points-per-decade 3",
-      0 );
-    ( "bounded adaptive refinement",
-      "matrix tow-thomas --solve-budget 5 --points-per-decade 3",
-      0 );
-    (* --solve-budget is validated in the command itself (cmdliner's
-       conv layer would own exit 124; the value is accepted as an int
-       and rejected by the same path as other semantic errors) *)
-    ("solve budget must be positive", "matrix tow-thomas --solve-budget 0", 2);
+    (* criterion parameters must be finite *)
+    ("infinite envelope tolerance", "matrix tow-thomas --criterion envelope:inf:0.02", 124);
+    ( "infinite phase-envelope tolerance",
+      "matrix tow-thomas --criterion phase-envelope:inf:0.02",
+      124 );
+    ("infinite fixed epsilon", "matrix tow-thomas --criterion fixed:inf", 124);
+    ("infinite phase angle", "matrix tow-thomas --criterion phase:inf", 124);
+    ("infinite envelope floor", "matrix tow-thomas --criterion envelope:0.04:inf", 124);
+    (* a campaign has one path: no flag selects another driver,
+       backend, pruning or refinement mode *)
+    ("no prefilter driver", "matrix tow-thomas --prefilter", 124);
+    ("no backend selector", "matrix tow-thomas --backend dense", 124);
+    ("no pruning switch", "matrix tow-thomas --no-prune", 124);
+    ("no adaptive switch", "matrix tow-thomas --no-adaptive", 124);
+    ("no solve budget", "matrix tow-thomas --solve-budget 5", 124);
     ( "missing diagnose observation file is an i/o error",
       "diagnose tow-thomas --observe no/such/log.txt --points-per-decade 2",
       5 );

@@ -84,43 +84,66 @@ let test_soundness_vs_simulation () =
         (Multiconfig.Transform.test_configurations dft))
     [ Circuits.Tow_thomas.make (); Circuits.Khn.make (); Circuits.Notch.make () ]
 
-(* --- prefilter --- *)
+(* --- structural detectability pre-pass (the paper's future-work
+   pruning, Analysis.Detectability) --- *)
+
+module D = Analysis.Detectability
 
 let test_prefilter_structure () =
   let b = Circuits.Tow_thomas.make () in
   let dft = Multiconfig.Transform.make ~source:"Vin" ~output:"v2" b.Circuits.Benchmark.netlist in
-  let plan = Mcdft_core.Prefilter.analyse dft in
-  Alcotest.(check int) "7 predictions" 7 (List.length plan.Mcdft_core.Prefilter.predicted);
-  Alcotest.(check int) "56 pairs total" 56 plan.Mcdft_core.Prefilter.total_pairs;
-  Alcotest.(check bool) "some pairs pruned" true
-    (plan.Mcdft_core.Prefilter.pruned_pairs > 0);
+  let det = D.analyse dft in
+  Alcotest.(check int) "7 predictions" 7 (List.length det.D.influential);
+  Alcotest.(check int) "56 pairs total" 56 (D.total_pairs det);
+  Alcotest.(check bool) "some pairs pruned" true (D.skip_count det > 0);
   Alcotest.(check bool) "not everything pruned" true
-    (plan.Mcdft_core.Prefilter.pruned_pairs < plan.Mcdft_core.Prefilter.total_pairs)
+    (D.skip_count det < D.total_pairs det);
+  Alcotest.(check int) "every fault detectable somewhere" 0
+    (List.length (D.undetectable_everywhere det))
 
+(* Skipping the pairs the pre-pass marks would leave the campaign's
+   matrix identical: every marked pair must already read "not
+   detected" with ω 0, under every criterion family. (leapfrog5 breaks
+   this under fixed:0.1 — its structurally dead views C56, C57 and C185
+   report round-off detections; see ROADMAP item 1.) *)
 let test_prefilter_matrix_identical () =
-  (* pair-level pruning must not change the matrix at all *)
   let b = Circuits.Tow_thomas.make () in
-  let full = P.run ~points_per_decade:8 b in
-  let _, pruned = Mcdft_core.Prefilter.run ~points_per_decade:8 b in
-  Alcotest.(check bool) "identical detect matrix" true
-    (full.P.matrix.Testability.Matrix.detect = pruned.Testability.Matrix.detect);
-  Array.iteri
-    (fun i row ->
+  List.iter
+    (fun criterion ->
+      let t = P.run ~criterion ~points_per_decade:8 b in
+      let m = t.P.matrix in
+      let det = D.analyse ~faults:t.P.faults t.P.dft in
+      Alcotest.(check (array string)) "same rows"
+        (Array.map Multiconfig.Configuration.label det.D.configs)
+        (Array.map (fun v -> v.Testability.Matrix.label) m.Testability.Matrix.views);
+      Alcotest.(check bool) "some pairs marked" true (D.skip_count det > 0);
       Array.iteri
-        (fun j w ->
-          Alcotest.(check (float 1e-12)) "identical omega" w
-            pruned.Testability.Matrix.omega.(i).(j))
-        row)
-    full.P.matrix.Testability.Matrix.omega
+        (fun i row ->
+          Array.iteri
+            (fun j marked ->
+              if marked then begin
+                let what =
+                  Printf.sprintf "%s x %s" m.Testability.Matrix.views.(i).Testability.Matrix.label
+                    m.Testability.Matrix.faults.(j).Fault.id
+                in
+                Alcotest.(check bool) (what ^ " not detected") false
+                  m.Testability.Matrix.detect.(i).(j);
+                Alcotest.(check (float 0.0)) (what ^ " omega 0") 0.0
+                  m.Testability.Matrix.omega.(i).(j)
+              end)
+            row)
+        det.D.undetectable)
+    [
+      P.default_criterion;
+      Testability.Detect.Fixed_tolerance 0.1;
+      Testability.Detect.Phase_fixed 0.1;
+    ]
 
 let test_prefilter_prunes_many_pairs () =
   let b = Circuits.Cascade.tow_thomas_pair () in
   let dft = Multiconfig.Transform.make ~source:"Vin" ~output:"v2B" b.Circuits.Benchmark.netlist in
-  let plan = Mcdft_core.Prefilter.analyse dft in
-  let ratio =
-    float_of_int plan.Mcdft_core.Prefilter.pruned_pairs
-    /. float_of_int plan.Mcdft_core.Prefilter.total_pairs
-  in
+  let det = D.analyse dft in
+  let ratio = float_of_int (D.skip_count det) /. float_of_int (D.total_pairs det) in
   Alcotest.(check bool)
     (Printf.sprintf "pruned %.0f%% of pairs" (100.0 *. ratio))
     true (ratio > 0.2)
