@@ -214,23 +214,26 @@ let fault_kind_opt =
        & info [ "faults" ] ~docv:"KIND"
            ~doc:"Fault universe: deviation (+20%), both (±20%) or catastrophic.")
 
-(* True totals: the envelope-drift solves that instantiate the
-   thresholds are paid in full by both campaigns (refinement never
-   touches them), so the reduction compares everything an exhaustive
-   campaign would solve — every uncertified fault point plus the
-   envelope — with everything this one did. *)
-let adaptive_summary =
-  Option.iter (fun (s : Mcdft_core.Adaptive.stats) ->
-      let module A = Mcdft_core.Adaptive in
-      let exhaustive = s.A.points - s.A.certified + s.A.envelope_solves in
-      let actual = s.A.solved + s.A.envelope_solves in
+(* The campaign's true totals: every live view is either decided on
+   the base factorizations or named with the reason it went through the
+   per-view engine. *)
+let campaign_summary (c : P.campaign_stats) =
+  let dead = List.length c.P.dead_views in
+  Option.iter
+    (fun (s : Testability.Lowrank.stats) ->
+      let module L = Testability.Lowrank in
       Printf.printf
-        "adaptive refinement: solved %d of %d fault points + %d envelope \
-         solves (%.1fx fewer solves than exhaustive, %d skipped, %d \
-         bisections)\n"
-        s.A.solved s.A.points s.A.envelope_solves
-        (float_of_int exhaustive /. float_of_int (max 1 actual))
-        s.A.skipped s.A.bisections)
+        "low-rank campaign: %d of %d live views on %d base factorizations, %d \
+         capacitance solves, %d threshold + %d fault points; %d structurally \
+         dead, %d per-view fallback%s\n"
+        s.L.lowrank_views s.L.views s.L.base_factors s.L.capacitance_solves
+        s.L.threshold_points s.L.fault_points dead
+        (List.length s.L.fallbacks)
+        (if List.length s.L.fallbacks = 1 then "" else "s");
+      List.iter
+        (fun (view, reason) -> Printf.printf "  per-view fallback %s: %s\n" view reason)
+        s.L.fallbacks)
+    c.P.lowrank
 
 (* The coverage estimator needs a scalar magnitude threshold and a
    component spread; phase-only criteria expose neither. An envelope
@@ -836,7 +839,7 @@ let matrix_cmd =
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
+        let t, campaign = P.run_with_stats ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let m = t.P.matrix in
         let fault_ids = Array.map (fun f -> f.Fault.id) m.Testability.Matrix.faults in
         let header = "" :: Array.to_list fault_ids in
@@ -870,7 +873,7 @@ let matrix_cmd =
           (if groups = 1 then "" else "s")
           pruned
           (if pruned = 1 then "" else "s");
-        adaptive_summary t.P.adaptive)
+        campaign_summary campaign)
   in
   Cmd.v
     (Cmd.info "matrix" ~doc:"Fault detectability matrix over all test configurations")
@@ -884,7 +887,7 @@ let optimize_cmd =
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
+        let t, campaign = P.run_with_stats ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let r = P.optimize ~n_detect t in
         if json then
           let snap =
@@ -905,7 +908,7 @@ let optimize_cmd =
           in
           print_endline
             (Report.Json.to_string ~indent:2
-               (Mcdft_core.Export.pipeline_to_json ?metrics:snap ?coverage t r))
+               (Mcdft_core.Export.pipeline_to_json ?metrics:snap ?coverage ~campaign t r))
         else
         let configs_to_string l =
           "{" ^ String.concat ", " (List.map (Printf.sprintf "C%d") l) ^ "}"

@@ -220,9 +220,7 @@ let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
         (fun config ->
           let view = view_of config in
           let influence = Circuit.Influence.analyse ~output:dft.Transform.output view in
-          not
-            (List.mem dft.Transform.input_node
-               (Circuit.Influence.influential_nodes influence)))
+          not (Circuit.Influence.node_can_affect_output influence dft.Transform.input_node))
         test
     in
     (match broken with

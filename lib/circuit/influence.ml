@@ -80,6 +80,7 @@ let analyse ~output netlist =
   { netlist; influential = !influential; stiff }
 
 let influential_nodes t = StringSet.elements t.influential
+let node_can_affect_output t node = StringSet.mem node t.influential
 
 let can_affect_output t element =
   let e = Netlist.find_exn t.netlist element in

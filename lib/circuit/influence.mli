@@ -29,6 +29,12 @@ val analyse : output:string -> Netlist.t -> t
 val influential_nodes : t -> string list
 (** Nodes whose voltage can affect the output, sorted. *)
 
+val node_can_affect_output : t -> string -> bool
+(** Whether the node is among {!influential_nodes}. False for a
+    source's driven node means the source cannot move the output at
+    all: the transfer function is identically zero, whatever the
+    element values. *)
+
 val can_affect_output : t -> string -> bool
 (** [can_affect_output t element] — false means faults on [element]
     are structurally undetectable at the output. Raises [Not_found]

@@ -700,6 +700,36 @@ let certify_soundness (s : Gen.subject) =
                      eps))
       end
 
+(* The views a campaign oracle scores: every test configuration of an
+   opamp subject (after the multi-configuration transform), else one
+   view per probe node of the netlist itself. With the views comes the
+   base a low-rank campaign should be written against. *)
+let campaign_views (s : Gen.subject) =
+  let probe output = { Detect.source = s.source; output } in
+  if Netlist.opamps s.netlist <> [] then
+    let dft = Multiconfig.Transform.make ~source:s.source ~output:s.output s.netlist in
+    let views =
+      List.map
+        (fun config ->
+          {
+            Matrix.label = Multiconfig.Configuration.label config;
+            netlist = Multiconfig.Transform.emulate dft config;
+            probe = probe s.output;
+          })
+        (Multiconfig.Transform.test_configurations dft)
+    in
+    let base =
+      Multiconfig.Transform.emulate dft
+        (Multiconfig.Configuration.functional ~n_opamps:(Multiconfig.Transform.n_opamps dft))
+    in
+    (views, base)
+  else
+    ( List.map
+        (fun node ->
+          { Matrix.label = "probe:" ^ node; netlist = s.netlist; probe = probe node })
+        (Netlist.internal_nodes s.netlist),
+      s.netlist )
+
 (* --- adaptive-vs-exhaustive: coarse-to-fine refinement bitwise ----- *)
 
 (* The adversarial check on {!Mcdft_core.Adaptive}: the refinement's
@@ -709,84 +739,164 @@ let certify_soundness (s : Gen.subject) =
    matrices bitwise identical to the exhaustive sweep, and the
    adaptive.* counters must be jobs-invariant (they are accumulated in
    the sequential reduce, so any divergence means scoring itself
-   raced). *)
+   raced). Calls {!Mcdft_core.Adaptive.build} directly:
+   {!Mcdft_core.Pipeline} no longer reaches it. *)
 let adaptive_vs_exhaustive (s : Gen.subject) =
   let module A = Mcdft_core.Adaptive in
-  if Netlist.opamps s.netlist <> [] then
-    let b =
-      {
-        Circuits.Benchmark.name = s.label;
-        description = "conformance fuzz subject";
-        netlist = s.netlist;
-        source = s.source;
-        output = s.output;
-        center_hz = 1_000.0;
-      }
-    in
-    match Mcdft_core.Pipeline.run ~points_per_decade:3 ~jobs:1 ~adaptive:false b with
+  let views, _ = campaign_views s in
+  (* an opamp subject keeps the campaign's own criterion, grid and
+     fault list *)
+  let criterion, grid, faults =
+    if Netlist.opamps s.netlist <> [] then
+      ( Mcdft_core.Pipeline.default_criterion,
+        Grid.around ~points_per_decade:3 ~center_hz:1_000.0 (),
+        Fault.deviation_faults s.netlist )
+    else (Detect.default_criterion, grid, Fault.both_deviations s.netlist)
+  in
+  if views = [] || faults = [] then Skip "no views or no faults to score"
+  else
+    match Matrix.build ~criterion ~jobs:1 grid views faults with
     | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-    | exhaustive -> (
-        let run_adaptive jobs =
-          Mcdft_core.Pipeline.run ~points_per_decade:3 ~jobs ~adaptive:true b
-        in
-        match run_adaptive 1 with
+    | plain -> (
+        match A.build ~criterion ~jobs:1 grid views faults with
         | exception Mna.Ac.Singular_circuit msg ->
-            Fail ("adaptive campaign singular where the exhaustive one solved: " ^ msg)
-        | t1 -> (
-            match run_adaptive 4 with
+            Fail ("adaptive build singular where the exhaustive one solved: " ^ msg)
+        | m1, s1 -> (
+            match A.build ~criterion ~jobs:4 grid views faults with
             | exception Mna.Ac.Singular_circuit msg ->
                 Fail ("adaptive jobs:4 singular where jobs:1 solved: " ^ msg)
-            | t4 ->
-                let m = exhaustive.Mcdft_core.Pipeline.matrix in
-                let m1 = t1.Mcdft_core.Pipeline.matrix in
-                let m4 = t4.Mcdft_core.Pipeline.matrix in
-                if m1.Matrix.detect <> m.Matrix.detect then
+            | m4, s4 ->
+                if m1.Matrix.detect <> plain.Matrix.detect then
                   Fail "adaptive detect matrix differs from the exhaustive sweep"
-                else if m1.Matrix.omega <> m.Matrix.omega then
+                else if m1.Matrix.omega <> plain.Matrix.omega then
                   Fail "adaptive omega matrix differs from the exhaustive sweep"
                 else if
-                  m4.Matrix.detect <> m.Matrix.detect
-                  || m4.Matrix.omega <> m.Matrix.omega
+                  m4.Matrix.detect <> plain.Matrix.detect
+                  || m4.Matrix.omega <> plain.Matrix.omega
                 then Fail "adaptive jobs:4 matrices differ from the exhaustive sweep"
-                else if t1.Mcdft_core.Pipeline.adaptive <> t4.Mcdft_core.Pipeline.adaptive
-                then Fail "adaptive.* counters differ between jobs:1 and jobs:4"
+                else if s1 <> s4 then
+                  Fail "adaptive.* counters differ between jobs:1 and jobs:4"
                 else Pass))
+
+(* --- lowrank-vs-per-view: one factorization per frequency ---------- *)
+
+(* The check on {!Testability.Lowrank}. Point by point, every response
+   the low-rank path accepts — nominal and faulty, the ±20 % faults,
+   the +4 % envelope drifts and the catastrophic opens and shorts —
+   must lie within its stated bound of the per-view engine's; and the
+   campaign's matrices must be bitwise those of {!Matrix.build} under
+   the envelope and the fixed criterion, at jobs:1 and jobs:4 with the
+   same accounting. Opamp-free subjects (the near-singular ladders
+   among them) give one view per probe node; the low-rank path serves
+   only the views sharing the first view's probe, so their checks run
+   on that view with no row updates — the base path alone. *)
+let lowrank_vs_per_view (s : Gen.subject) =
+  let module L = Testability.Lowrank in
+  let views, base = campaign_views s in
+  let drifts =
+    List.map
+      (fun e -> Fault.deviation ~element:(Circuit.Element.name e) 1.04)
+      (Netlist.passives s.netlist)
+  in
+  let point_faults =
+    Fault.both_deviations s.netlist @ drifts
+    @ List.filter
+        (fun f ->
+          match Netlist.find s.netlist f.Fault.element with
+          | Some (Circuit.Element.Resistor _ | Circuit.Element.Capacitor _) -> true
+          | _ -> false)
+        (Fault.catastrophic_faults s.netlist)
+  in
+  if views = [] || point_faults = [] then Skip "no views or no faults to score"
   else
-    let views =
-      List.map
-        (fun node ->
-          {
-            Matrix.label = "probe:" ^ node;
-            netlist = s.netlist;
-            probe = { Detect.source = s.source; output = node };
-          })
-        (Netlist.internal_nodes s.netlist)
+    let per_view (v : Matrix.view) =
+      match
+        Fastsim.create ~source:s.source ~output:v.Matrix.probe.Detect.output ~freqs_hz
+          v.Matrix.netlist
+      with
+      | exception Mna.Ac.Singular_circuit _ -> None
+      | sim -> Some (Fastsim.nominal sim, List.map (Fastsim.response sim) point_faults)
     in
-    let faults = Fault.both_deviations s.netlist in
-    if views = [] || faults = [] then Skip "no views or no faults to score"
-    else
-      match Matrix.build ~jobs:1 grid views faults with
-      | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-      | plain -> (
-          match A.build ~jobs:1 grid views faults with
-          | exception Mna.Ac.Singular_circuit msg ->
-              Fail ("adaptive build singular where the exhaustive one solved: " ^ msg)
-          | m1, s1 -> (
-              match A.build ~jobs:4 grid views faults with
-              | exception Mna.Ac.Singular_circuit msg ->
-                  Fail ("adaptive jobs:4 singular where jobs:1 solved: " ^ msg)
-              | m4, s4 ->
-                  if m1.Matrix.detect <> plain.Matrix.detect then
-                    Fail "adaptive detect matrix differs from the exhaustive sweep"
-                  else if m1.Matrix.omega <> plain.Matrix.omega then
-                    Fail "adaptive omega matrix differs from the exhaustive sweep"
-                  else if
-                    m4.Matrix.detect <> plain.Matrix.detect
-                    || m4.Matrix.omega <> plain.Matrix.omega
-                  then Fail "adaptive jobs:4 matrices differ from the exhaustive sweep"
-                  else if s1 <> s4 then
-                    Fail "adaptive.* counters differ between jobs:1 and jobs:4"
-                  else Pass))
+    let outside = ref None and accepted = ref 0 in
+    let check label what (p : L.point) (reference : Complex.t option) =
+      match reference with
+      | None ->
+          if !outside = None then
+            outside :=
+              Some
+                (Printf.sprintf "%s %s: accepted where the per-view engine is singular"
+                   label what)
+      | Some r ->
+          incr accepted;
+          let d = Complex.norm (Complex.sub p.L.h r) in
+          if not (d <= p.L.bound) && !outside = None then
+            outside :=
+              Some
+                (Printf.sprintf "%s %s: |dH| = %g exceeds the bound %g (H = %s)" label what d
+                   p.L.bound (pp_complex r))
+    in
+    Array.iteri
+      (fun i vp ->
+        match vp with
+        | L.Skipped _ -> ()
+        | L.Points { nominal; faults } -> (
+            let v = List.nth views i in
+            match per_view v with
+            | None -> ()
+            | Some (nom, rows) ->
+                (* a grid point below the measurement floor decides no
+                   verdict: nothing there is read but the mask *)
+                let mask = Detect.measurement_mask nom in
+                let live k = Bytes.get mask k = '\000' in
+                Array.iteri
+                  (fun k p ->
+                    if live k then
+                      check v.Matrix.label (Printf.sprintf "nominal at %g Hz" freqs_hz.(k)) p
+                        (Some nom.(k)))
+                  nominal;
+                List.iteri
+                  (fun j row ->
+                    let f = List.nth point_faults j in
+                    Array.iteri
+                      (fun k p ->
+                        if live k then
+                          check v.Matrix.label
+                            (Printf.sprintf "%s at %g Hz" f.Fault.id freqs_hz.(k))
+                            p row.(k))
+                      faults.(j))
+                  rows))
+      (L.responses ~base grid views point_faults);
+    match !outside with
+    | Some msg -> Fail msg
+    | None -> (
+        let faults = Fault.both_deviations s.netlist in
+        let criteria =
+          [ Mcdft_core.Pipeline.default_criterion; Detect.Fixed_tolerance 0.1 ]
+        in
+        let rec matrices = function
+          | [] -> if !accepted = 0 then Skip "no point took the low-rank path" else Pass
+          | criterion :: rest -> (
+              match Matrix.build ~criterion ~jobs:1 grid views faults with
+              | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
+              | plain -> (
+                  match L.build ~base ~criterion ~jobs:1 grid views faults with
+                  | exception Mna.Ac.Singular_circuit msg ->
+                      Fail ("low-rank campaign singular where the per-view one solved: " ^ msg)
+                  | m1, s1 ->
+                      let m4, s4 = L.build ~base ~criterion ~jobs:4 grid views faults in
+                      if m1.Matrix.detect <> plain.Matrix.detect then
+                        Fail "low-rank detect matrix differs from the per-view campaign"
+                      else if m1.Matrix.omega <> plain.Matrix.omega then
+                        Fail "low-rank omega matrix differs from the per-view campaign"
+                      else if
+                        m4.Matrix.detect <> plain.Matrix.detect
+                        || m4.Matrix.omega <> plain.Matrix.omega
+                      then Fail "low-rank jobs:4 matrices differ from the per-view campaign"
+                      else if s1 <> s4 then
+                        Fail "low-rank accounting differs between jobs:1 and jobs:4"
+                      else matrices rest))
+        in
+        matrices criteria)
 
 let all =
   [
@@ -839,6 +949,13 @@ let all =
       name = "certify-soundness";
       doc = "every certified verdict byte agrees with the numeric engine at its point";
       check = certify_soundness;
+    };
+    {
+      name = "lowrank-vs-per-view";
+      doc =
+        "low-rank responses within their stated bound of the per-view engine's, \
+         campaign matrices bitwise equal, accounting jobs-invariant";
+      check = lowrank_vs_per_view;
     };
     {
       name = "adaptive-vs-exhaustive";

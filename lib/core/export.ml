@@ -126,17 +126,31 @@ let metrics_to_json (s : Obs.Metrics.snapshot) =
       );
     ]
 
-let adaptive_to_json (s : Adaptive.stats) =
-  J.Object
-    [
-      ("rows", J.int s.Adaptive.rows);
-      ("points", J.int s.Adaptive.points);
-      ("certified", J.int s.Adaptive.certified);
-      ("solved", J.int s.Adaptive.solved);
-      ("solves_skipped", J.int s.Adaptive.skipped);
-      ("bisections", J.int s.Adaptive.bisections);
-      ("envelope_solves", J.int s.Adaptive.envelope_solves);
-    ]
+let campaign_to_json (c : Pipeline.campaign_stats) =
+  let module L = Testability.Lowrank in
+  ("dead_views", J.List (List.map (fun l -> J.String l) c.Pipeline.dead_views))
+  ::
+  (match c.Pipeline.lowrank with
+  | None -> []
+  | Some s ->
+      [
+        ( "lowrank",
+          J.Object
+            [
+              ("views", J.int s.L.views);
+              ("lowrank_views", J.int s.L.lowrank_views);
+              ("base_factors", J.int s.L.base_factors);
+              ("capacitance_solves", J.int s.L.capacitance_solves);
+              ("threshold_points", J.int s.L.threshold_points);
+              ("fault_points", J.int s.L.fault_points);
+              ( "fallbacks",
+                J.List
+                  (List.map
+                     (fun (view, reason) ->
+                       J.Object [ ("view", J.String view); ("reason", J.String reason) ])
+                     s.L.fallbacks) );
+            ] );
+      ])
 
 let coverage_to_json (c : Testability.Montecarlo.coverage) =
   J.Object
@@ -159,7 +173,7 @@ let coverage_to_json (c : Testability.Montecarlo.coverage) =
       ("average_case", J.Number c.Testability.Montecarlo.average_case);
     ]
 
-let pipeline_to_json ?metrics ?coverage (t : Pipeline.t) r =
+let pipeline_to_json ?metrics ?coverage ?campaign (t : Pipeline.t) r =
   let b = t.Pipeline.benchmark in
   J.Object
     ([
@@ -177,9 +191,9 @@ let pipeline_to_json ?metrics ?coverage (t : Pipeline.t) r =
               ("pruned_configs", J.int t.Pipeline.pruned_configs);
             ]
            @
-           match t.Pipeline.adaptive with
+           match campaign with
            | None -> []
-           | Some s -> [ ("adaptive", adaptive_to_json s) ]) );
+           | Some c -> campaign_to_json c) );
        ("report", report_to_json ~faults:t.Pipeline.faults r);
      ]
     @ (match coverage with

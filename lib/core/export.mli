@@ -11,9 +11,13 @@ val metrics_to_json : Obs.Metrics.snapshot -> Report.Json.t
 (** A metrics snapshot as [{counters: {...}, histograms: {...}}];
     non-finite histogram min/max (empty histograms) export as null. *)
 
-val adaptive_to_json : Adaptive.stats -> Report.Json.t
-(** The adaptive refinement counters (rows, points, certified, solved,
-    solves_skipped, bisections, envelope_solves) as a JSON object. *)
+val campaign_to_json : Pipeline.campaign_stats -> (string * Report.Json.t) list
+(** A campaign's accounting ({!Pipeline.run_with_stats}) as JSON
+    fields: ["dead_views"], the labels of its structurally dead views,
+    and, for the low-rank campaign, ["lowrank"] with its
+    totals — views, views decided on the base factorizations, base
+    factorizations, capacitance solves, threshold and fault points —
+    and every per-view fallback with its reason. *)
 
 val coverage_to_json : Testability.Montecarlo.coverage -> Report.Json.t
 (** A {!Testability.Montecarlo.coverage_run} result: sampling
@@ -23,11 +27,12 @@ val coverage_to_json : Testability.Montecarlo.coverage -> Report.Json.t
 val pipeline_to_json :
   ?metrics:Obs.Metrics.snapshot ->
   ?coverage:Testability.Montecarlo.coverage ->
+  ?campaign:Pipeline.campaign_stats ->
   Pipeline.t -> Optimizer.report -> Report.Json.t
 (** {!report_to_json} wrapped with circuit metadata (name, opamps,
     criterion, grid). The ["campaign"] block records the pruning
-    counters, plus an ["adaptive"] sub-object ({!adaptive_to_json})
-    when the campaign ran coverage-directed. [coverage] adds a
+    counters, plus the ["dead_views"] and ["lowrank"] fields of
+    {!campaign_to_json} when [campaign] is given. [coverage] adds a
     ["coverage"] block ({!coverage_to_json}); [metrics] adds a
     ["metrics"] block ({!metrics_to_json}) capturing the campaign's
     solver counters and phase timings. *)

@@ -17,19 +17,22 @@ type t = {
           are replicated from their group representative. *)
   input : Optimizer.input;  (** Same data, ω in percent. *)
   equivalence_groups : int;
-      (** Number of value-distinct configuration classes simulated. *)
+      (** Number of value-distinct classes of live configurations
+          simulated. *)
   pruned_configs : int;
       (** Configurations whose rows were replicated instead of
-          simulated ([n_views − equivalence_groups]; 0 with
-          [~prune:false]). *)
+          simulated ([live views − equivalence_groups]; 0 with
+          [~prune:false]). Structurally dead views are neither
+          simulated nor counted here. *)
   certify : Analysis.Certify.t option;
       (** The interval-certification result over the representative
           views, when [~certify:true] was asked for and the criterion
           is certifiable ([Fixed_tolerance] with ε > 0); [None]
           otherwise, which includes every default run. *)
   adaptive : Adaptive.stats option;
-      (** Solve accounting of the adaptive campaign driver over the
-          representative rows; [None] with [~adaptive:false]. *)
+      (** Solve accounting of an {!Adaptive.build} campaign. {!run}
+          never drives one and leaves it [None]; the field stays for
+          tools that replay {!Adaptive.build} into this record. *)
 }
 
 val default_criterion : Testability.Detect.criterion
@@ -57,20 +60,36 @@ val run :
     (default 30) points per decade. [follower_model] emulates
     follower-mode opamps as finite-GBW unity buffers instead of ideal
     ones (see {!Multiconfig.Transform.emulate}); [jobs] parallelizes
-    the campaign across domains (see {!Testability.Matrix.build});
-    [backend] selects the per-view factorization
-    ({!Testability.Fastsim.backend}, default [Auto]).
+    the campaign across domains; [backend] selects the factorization
+    ({!Testability.Fastsim.backend}, default [Auto]) of the base
+    system and of every per-view engine.
+
+    Every view where the test input cannot structurally reach the
+    output ({!Circuit.Influence}, lint C003) gets an all-undetectable
+    row with ω 0 before any simulation, on either path: its
+    transfer function is identically zero.
 
     The CLI runs every campaign with the defaults of [backend],
     [prune], [certify] and [adaptive]. The non-default values select
     reference paths for tests, the conformance oracles and the
     measurement tools: [~prune:false ~adaptive:false] is the exhaustive
-    reference the campaign benchmark checks against, and a forced
-    [backend] compares the dense and sparse engines.
+    per-view reference the campaign benchmark checks against, and a
+    forced [backend] compares the dense and sparse engines.
+
+    [adaptive] (default [true]) chooses the default campaign,
+    {!Testability.Lowrank.build}: one factorization of the functional
+    configuration per frequency serves every test configuration, and
+    any view its error bound cannot decide goes through the per-view
+    engine. [~adaptive:false] runs the per-view reference,
+    {!Testability.Matrix.build}, on every live representative. The
+    matrices are bitwise identical either way on every circuit tested;
+    the low-rank error bound is a first-order model, not a proof
+    (DESIGN §16). (The name predates the
+    low-rank campaign; {!Adaptive.build} is no longer on this path.)
 
     [prune] (default [true]) simulates one representative per class of
-    configurations whose assembled systems are value-identical up to
-    row sign with every fault-touched row locked
+    live configurations whose assembled systems are value-identical up
+    to row sign with every fault-touched row locked
     ({!Analysis.Lint.equivalence_groups}) and replicates the
     representative's verdict rows — the resulting matrix is exactly
     the unpruned one. The skipped work is counted in
@@ -79,27 +98,38 @@ val run :
     solver.
 
     [certify] (default [false]) runs {!Analysis.Certify} over the
-    representative views when the criterion is a [Fixed_tolerance],
-    stores the result in {!field:certify}, and lets the adaptive
-    campaign skip the certified (fault × frequency) points
-    ([certify.solves_skipped] / [certify.cells_proved] metrics); the
-    exhaustive campaign ([~adaptive:false]) solves every point anyway.
-    The detect/omega matrices are bitwise identical either way. It is
-    off by default because it does not pay: on the twelve small
-    registry circuits at fixed:0.1 (2-core x86-64 container) the
-    interval pass took ~2.4 s of a ~3.4 s campaign to skip 31 % of the
-    points, whose solves cost under 0.3 s. The argument stays for callers that want the
-    certificates alongside the matrices, among them the campaign
-    benchmark ([perfbench/]), which passes it explicitly; [mcdft
-    certify] and lint F002/P002 call {!Analysis.Certify} directly.
+    representative views when the criterion is a [Fixed_tolerance] and
+    stores the result in {!field:certify}. Neither path consumes the
+    certificates, so the matrices do not depend on it. It is off by
+    default because it does not pay: on the twelve small registry
+    circuits at fixed:0.1 (2-core x86-64 container) the interval pass
+    took ~2.4 s of a ~3.4 s campaign. The argument stays for callers
+    that want the certificates alongside the matrices, among them the
+    campaign benchmark ([perfbench/]); [mcdft certify] and lint
+    F002/P002 call {!Analysis.Certify} directly. *)
 
-    [adaptive] (default [true]) drives the campaign through
-    {!Adaptive.build}: coarse-grid solves plus flip-driven bisection
-    (seeded by the certify cube where one exists) replace the
-    exhaustive per-point sweep, with bitwise-identical matrices
-    ([adaptive.solves_skipped] / [adaptive.bisections] metrics).
-    Works under every criterion — envelope and phase criteria refine
-    with no certify seed. *)
+type campaign_stats = {
+  dead_views : string list;
+      (** labels of the structurally dead views, in view order *)
+  lowrank : Testability.Lowrank.stats option;
+      (** the low-rank campaign's accounting; [None] with
+          [~adaptive:false] *)
+}
+
+val run_with_stats :
+  ?criterion:Testability.Detect.criterion ->
+  ?points_per_decade:int ->
+  ?faults:Fault.t list ->
+  ?follower_model:Circuit.Element.opamp_model ->
+  ?jobs:int ->
+  ?backend:Testability.Fastsim.backend ->
+  ?prune:bool ->
+  ?certify:bool ->
+  ?adaptive:bool ->
+  Circuits.Benchmark.t ->
+  t * campaign_stats
+(** {!run}, with the campaign's accounting — what [mcdft matrix] and
+    [mcdft optimize --json] summarize. *)
 
 val optimize : ?petrick_limit:int -> ?n_detect:int -> t -> Optimizer.report
 

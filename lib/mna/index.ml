@@ -42,3 +42,10 @@ let branch t name = Hashtbl.find t.branch_idx name
 let has_branch t name = Hashtbl.mem t.branch_idx name
 let node_names t = Array.copy t.names
 let n_nodes t = Array.length t.names
+
+let equal a b =
+  a.total = b.total && a.names = b.names
+  && Hashtbl.length a.branch_idx = Hashtbl.length b.branch_idx
+  && Hashtbl.fold
+       (fun name i acc -> acc && Hashtbl.find_opt b.branch_idx name = Some i)
+       a.branch_idx true

@@ -31,3 +31,9 @@ val n_nodes : t -> int
 
 val needs_branch : Element.t -> bool
 (** Whether this element type contributes a branch-current unknown. *)
+
+val equal : t -> t -> bool
+(** Whether two indices order the same unknowns identically: the same
+    node names at the same positions and the same branch-current
+    unknowns at the same positions. Systems over equal indices can be
+    compared entry by entry. *)

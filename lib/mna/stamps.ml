@@ -62,6 +62,40 @@ let rhs t ~omega =
   rhs_into t ~omega b;
   Cmat.Pvec.to_complex b
 
+type row_update = { row : int; cols : int array; dg : float array; dc : float array }
+
+(* Row-by-row difference of two split systems over the same unknowns.
+   Only the s⁰ and s¹ planes may differ: a differing excitation or a
+   differing higher-order entry is not a row update of the matrix. *)
+let row_updates ~base t =
+  if t.n <> base.n || t.rhs_g <> base.rhs_g || t.rhs_c <> base.rhs_c
+     || t.rhs_extra <> base.rhs_extra || t.extra <> base.extra
+  then None
+  else begin
+    let n = t.n in
+    let rows = ref [] in
+    for i = n - 1 downto 0 do
+      let cols = ref [] in
+      for j = n - 1 downto 0 do
+        let k = (i * n) + j in
+        if t.g.(k) <> base.g.(k) || t.c.(k) <> base.c.(k) then cols := j :: !cols
+      done;
+      if !cols <> [] then begin
+        let cols = Array.of_list !cols in
+        let at plane j = plane.((i * n) + j) in
+        rows :=
+          {
+            row = i;
+            cols;
+            dg = Array.map (fun j -> at t.g j -. at base.g j) cols;
+            dc = Array.map (fun j -> at t.c j -. at base.c j) cols;
+          }
+          :: !rows
+      end
+    done;
+    Some (Array.of_list !rows)
+  end
+
 (* Off-heap variants: identical fill discipline (and the same
    "mna.fills" accounting) with the destination planes in Bigarray
    storage. *)

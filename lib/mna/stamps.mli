@@ -53,6 +53,21 @@ val fill_big : t -> omega:float -> Linalg.Cmat.Big.t -> unit
 val rhs_into_big : t -> omega:float -> Linalg.Cmat.Big.Vec.t -> unit
 (** {!rhs_into} onto an off-heap vector. *)
 
+type row_update = {
+  row : int;  (** the system row that differs *)
+  cols : int array;  (** its differing columns, ascending *)
+  dg : float array;  (** s⁰ difference per column: this system minus the base *)
+  dc : float array;  (** s¹ difference per column *)
+}
+
+val row_updates : base:t -> t -> row_update array option
+(** The difference A(s) − A_base(s) written as one sparse row update per
+    differing row, rows ascending: A(s) = A_base(s) + Σ e_row·(dg + s·dc)ᵀ.
+    [None] when the two systems cannot be related that way: different
+    dimensions, a different excitation, or a differing entry of
+    polynomial degree above 1. Both systems must be built over equal
+    indices ({!Index.equal}) for the rows to name the same unknowns. *)
+
 (** {1 Sparse stamps}
 
     The same split-coefficient assembly delivered straight into a CSC

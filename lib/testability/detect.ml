@@ -122,11 +122,10 @@ let envelope_thresholds ~deviation ~floor ~sim grid netlist ~nominal
    deterministic 'u' in every scoring path. The floor is relative to
    the view's own response scale, with an absolute backstop for views
    that are dead across the whole band. *)
+let floor_of_peak peak = Float.max (1e-12 *. peak) 1e-13
+
 let measurement_floor nominal =
-  let mmax =
-    Array.fold_left (fun a c -> Float.max a (Complex.norm c)) 0.0 nominal
-  in
-  Float.max (1e-12 *. mmax) 1e-13
+  floor_of_peak (Array.fold_left (fun a c -> Float.max a (Complex.norm c)) 0.0 nominal)
 
 let measurement_mask nominal =
   let floor_abs = measurement_floor nominal in

@@ -225,6 +225,10 @@ val steering_profiles : prepared_view -> float array list
     driver to refine into such a region rather than skip across it.
     Do not mutate the returned arrays. *)
 
+val floor_of_peak : float -> float
+(** The measurement floor of a view whose nominal peak magnitude over
+    the grid is [peak]: [max (1e-12 × peak, 1e-13)]. *)
+
 val measurement_mask : Complex.t array -> Bytes.t
 (** The measurement floor of a nominal response row: byte ['\001'] at
     every grid point whose nominal magnitude falls below

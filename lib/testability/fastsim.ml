@@ -13,7 +13,7 @@ module Csparse = Linalg.Csparse
 type backend = Dense | Sparse | Auto
 
 let auto_crossover_n = 64
-let auto_pick ~n ~nnz = n >= auto_crossover_n && 8 * nnz <= n * n
+let auto_picks_sparse ~n ~nnz = n >= auto_crossover_n && 8 * nnz <= n * n
 
 (* A sparse ±1 stamp pattern: the nonzero rows (columns) of the rank-1
    factor u (v), as (index, sign) pairs. *)
@@ -26,7 +26,7 @@ type rank1 = { u : pat; v : pat; alpha_g : float; alpha_c : float }
 type cls =
   | Unchanged  (* the fault does not alter the system (e.g. grounded element) *)
   | Rank_one of rank1
-  | Structural of Netlist.t  (* full path on the injected netlist *)
+  | Structural  (* full path on the injected netlist *)
 
 (* One cached A⁻¹u back-solve: w occupies [wre]/[wim] at offsets
    [off .. off+n-1]. {!warm_cache} stores every pattern of a frequency
@@ -257,7 +257,7 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
         in
         match backend with
         | Sparse -> Some sp
-        | _ -> if auto_pick ~n ~nnz:(Mna.Stamps.sparse_nnz sp) then Some sp else None)
+        | _ -> if auto_picks_sparse ~n ~nnz:(Mna.Stamps.sparse_nnz sp) then Some sp else None)
   in
   let freqs =
     match sparse_stamps with
@@ -389,17 +389,16 @@ let rank1_if_sane r1 =
    inductor's deviation only moves its own branch-equation diagonal
    entry, −sΔL. Anything else (dimension-changing replacements, source
    deviations, non-finite deltas) takes the structural path. *)
-let classify t (fault : Fault.t) =
-  match Netlist.find t.netlist fault.Fault.element with
+let classify_in index netlist (fault : Fault.t) =
+  match Netlist.find netlist fault.Fault.element with
   | None -> raise (Fault.Unknown_element fault.Fault.element)
   | Some e -> (
-      let structural () = Structural (Fault.inject fault t.netlist) in
       let or_structural r1 =
-        match rank1_if_sane r1 with Some p -> p | None -> structural ()
+        match rank1_if_sane r1 with Some p -> p | None -> Structural
       in
       match (fault.Fault.kind, e) with
       | Fault.Deviation f, Element.Resistor { n1; n2; value; _ } ->
-          let p = two_node_pat t.index n1 n2 in
+          let p = two_node_pat index n1 n2 in
           or_structural
             {
               u = p;
@@ -408,11 +407,11 @@ let classify t (fault : Fault.t) =
               alpha_c = 0.0;
             }
       | Fault.Deviation f, Element.Capacitor { n1; n2; value; _ } ->
-          let p = two_node_pat t.index n1 n2 in
+          let p = two_node_pat index n1 n2 in
           or_structural
             { u = p; v = p; alpha_g = 0.0; alpha_c = (f -. 1.0) *. value }
       | Fault.Deviation f, Element.Inductor { name; value; _ } ->
-          let bi = Mna.Index.branch t.index name in
+          let bi = Mna.Index.branch index name in
           or_structural
             {
               u = [ (bi, 1.0) ];
@@ -427,7 +426,7 @@ let classify t (fault : Fault.t) =
             | Fault.Open_circuit -> Fault.open_resistance
             | _ -> Fault.short_resistance
           in
-          let p = two_node_pat t.index n1 n2 in
+          let p = two_node_pat index n1 n2 in
           or_structural
             { u = p; v = p; alpha_g = (1.0 /. r) -. (1.0 /. value); alpha_c = 0.0 }
       | (Fault.Open_circuit | Fault.Short_circuit), Element.Capacitor { n1; n2; value; _ }
@@ -438,15 +437,29 @@ let classify t (fault : Fault.t) =
             | Fault.Open_circuit -> Fault.open_resistance
             | _ -> Fault.short_resistance
           in
-          let p = two_node_pat t.index n1 n2 in
+          let p = two_node_pat index n1 n2 in
           or_structural { u = p; v = p; alpha_g = 1.0 /. r; alpha_c = -.value }
-      | _ -> structural ())
+      | _ -> Structural)
+
+let classify t fault = classify_in t.index t.netlist fault
+
+type update =
+  | No_change
+  | Rank_one_update of { u : (int * float) list; alpha_g : float; alpha_c : float }
+  | Restamp
+
+let classify_update index netlist fault =
+  match classify_in index netlist fault with
+  | Unchanged -> No_change
+  | Rank_one { u; v; alpha_g; alpha_c } when u = v -> Rank_one_update { u; alpha_g; alpha_c }
+  | Rank_one _ | Structural -> Restamp
 
 let plan_of t fault =
   match classify t fault with
   | Unchanged -> P_unchanged
   | Rank_one r1 -> P_rank1 r1
-  | Structural faulty ->
+  | Structural ->
+      let faulty = Fault.inject fault t.netlist in
       (* Once per (engine, fault) plan — the same accounting point the
          per-call structural path used before plans existed. *)
       Obs.Metrics.incr "fastsim.structural_faults";
@@ -532,7 +545,7 @@ let warm_cache t faults =
       (fun acc fault ->
         match classify t fault with
         | Rank_one { u; _ } -> if List.mem u acc then acc else u :: acc
-        | Unchanged | Structural _ -> acc
+        | Unchanged | Structural -> acc
         | exception Fault.Unknown_element _ -> acc)
       [] faults
     |> List.rev
@@ -594,7 +607,7 @@ let cached_w t fault i =
                    Complex.re = Bigarray.Array1.get wre (off + k);
                    im = Bigarray.Array1.get wim (off + k);
                  })))
-  | Unchanged | Structural _ -> None
+  | Unchanged | Structural -> None
 
 (* ---- point solvers ----
 

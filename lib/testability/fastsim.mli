@@ -60,6 +60,10 @@ type backend = Dense | Sparse | Auto
     update, its residual gate and the full-refactorization fallback
     are backend-independent. *)
 
+val auto_picks_sparse : n:int -> nnz:int -> bool
+(** [Auto]'s choice for a system of dimension [n] with [nnz] stamped
+    entries: [true] for the sparse back-end. *)
+
 val create :
   ?backend:backend ->
   source:string ->
@@ -124,6 +128,23 @@ val plan_of : t -> Fault.t -> plan
     [fastsim.structural_faults] increment (and their assembly) here,
     once per plan — so build each (engine, fault) plan once. Raises
     {!Fault.Unknown_element} like {!response}. *)
+
+type update =
+  | No_change  (** the fault leaves the system as it is *)
+  | Rank_one_update of { u : (int * float) list; alpha_g : float; alpha_c : float }
+      (** ΔA(s) = (alpha_g + s·alpha_c)·u·uᵀ, with [u] a sparse ±1
+          pattern of (row, sign) pairs *)
+  | Restamp  (** anything else: the system must be assembled afresh *)
+
+val classify_update : Mna.Index.t -> Netlist.t -> Fault.t -> update
+(** How a fault changes the MNA system of [netlist] over [index] — the
+    same classification {!plan_of} makes, without building any state.
+    Raises {!Fault.Unknown_element} like {!plan_of}. *)
+
+val smw_tolerance : float
+(** 1e-9 — the normwise relative residual up to which a rank-1 update
+    is accepted (after at most one refinement step) before the engine
+    refactorizes the perturbed matrix instead. *)
 
 val response_range_into :
   t ->

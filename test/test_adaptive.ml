@@ -95,16 +95,21 @@ let qcheck_certified_anchors_never_solved =
       row_matches r o
       && List.for_all (fun i -> not cert.(i)) o.A.Refine.solved)
 
-(* ---- end-to-end: adaptive pipeline = exhaustive pipeline ---- *)
+(* ---- end-to-end: adaptive campaign = exhaustive pipeline ----
 
-let run_pipeline ~adaptive ~criterion () =
-  let b = Circuits.Tow_thomas.make () in
-  P.run ~criterion ~points_per_decade:6 ~jobs:1 ~adaptive b
+   Pipeline.run no longer drives Adaptive.build, so the adaptive
+   campaign runs on the pipeline's own views, grid and faults and is
+   held to the pipeline's exhaustive matrices. *)
 
 let check_identical ~what criterion =
-  let exhaustive = run_pipeline ~adaptive:false ~criterion () in
-  let t = run_pipeline ~adaptive:true ~criterion () in
-  let me = exhaustive.P.matrix and ma = t.P.matrix in
+  let b = Circuits.Tow_thomas.make () in
+  let exhaustive = P.run ~criterion ~points_per_decade:6 ~jobs:1 ~adaptive:false b in
+  let me = exhaustive.P.matrix in
+  let ma, s =
+    A.build ~criterion ~jobs:1 exhaustive.P.grid
+      (Array.to_list me.Testability.Matrix.views)
+      exhaustive.P.faults
+  in
   Alcotest.(check bool)
     (what ^ ": detect bitwise identical")
     true
@@ -113,14 +118,11 @@ let check_identical ~what criterion =
     (what ^ ": omega bitwise identical")
     true
     (ma.Testability.Matrix.omega = me.Testability.Matrix.omega);
-  match t.P.adaptive with
-  | None -> Alcotest.fail (what ^ ": adaptive run carries no stats")
-  | Some s ->
-      Alcotest.(check int)
-        (what ^ ": points = certified + solved + skipped")
-        s.A.points
-        (s.A.certified + s.A.solved + s.A.skipped);
-      s
+  Alcotest.(check int)
+    (what ^ ": points = certified + solved + skipped")
+    s.A.points
+    (s.A.certified + s.A.solved + s.A.skipped);
+  s
 
 let test_pipeline_identity_envelope () =
   let s = check_identical ~what:"envelope" P.default_criterion in
@@ -191,53 +193,6 @@ let test_phase_envelope_resonance_identity () =
     "omega bitwise identical"
     (Array.map (Array.map Int64.bits_of_float) me.Testability.Matrix.omega)
     (Array.map (Array.map Int64.bits_of_float) ma.Testability.Matrix.omega)
-
-(* ---- CLI surface ---- *)
-
-let mcdft_exe = "../bin/mcdft.exe"
-
-let run_capture cmd file =
-  let code =
-    Sys.command (Printf.sprintf "%s %s > %s 2>&1" mcdft_exe cmd file)
-  in
-  (code, In_channel.with_open_text file In_channel.input_all)
-
-let test_cli_summary_line_format () =
-  let _, out =
-    run_capture "matrix tow-thomas --points-per-decade 4" "tmp_adaptive_fmt.txt"
-  in
-  Sys.remove "tmp_adaptive_fmt.txt";
-  let line =
-    List.find_opt
-      (fun l -> String.length l >= 8 && String.sub l 0 8 = "adaptive")
-      (String.split_on_char '\n' out)
-  in
-  match line with
-  | None -> Alcotest.fail "no adaptive summary line in matrix output"
-  | Some l -> (
-      match
-        Scanf.sscanf l
-          "adaptive refinement: solved %d of %d fault points + %d envelope \
-           solves (%fx fewer solves than exhaustive, %d skipped, %d \
-           bisections"
-          (fun solved points envelope ratio skipped bisections ->
-            (solved, points, envelope, ratio, skipped, bisections))
-      with
-      | exception Scanf.Scan_failure _ ->
-          Alcotest.failf "summary line does not parse: %s" l
-      | solved, points, envelope, ratio, skipped, _ ->
-          Alcotest.(check bool) "solved <= points" true (solved <= points);
-          Alcotest.(check int) "skipped = points - solved" (points - solved)
-            skipped;
-          (* the default envelope criterion: one drift solve per
-             passive and grid point in every configuration *)
-          Alcotest.(check bool) "envelope solves reported" true (envelope > 0);
-          Alcotest.(check bool) "ratio counts the envelope solves" true
-            (Float.abs
-               (ratio
-               -. (float_of_int (points + envelope)
-                  /. float_of_int (solved + envelope)))
-             < 0.06))
 
 (* ---- tolerance-space coverage sampling ---- *)
 
@@ -315,8 +270,6 @@ let suite =
       test_pipeline_identity_phase;
     Alcotest.test_case "adaptive = exhaustive at a leapfrog5 phase resonance" `Quick
       test_phase_envelope_resonance_identity;
-    Alcotest.test_case "CLI adaptive summary line parses and adds up" `Quick
-      test_cli_summary_line_format;
     Alcotest.test_case "coverage_run accounting is sound" `Quick
       test_coverage_run_sound;
     Alcotest.test_case "coverage_run is jobs-invariant" `Quick

@@ -66,7 +66,10 @@ let test_default_does_not_certify () =
        (Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b))
        plain.P.matrix.Matrix.omega on.P.matrix.Matrix.omega)
 
-(* ---- the campaign actually skips solves, and says so ---- *)
+(* ---- a campaign that consumes the cube skips solves, and says so ----
+
+   Neither campaign of Pipeline.run consumes certificates; the adaptive
+   one still can, when handed the cube directly. *)
 
 let test_solves_skipped_counter () =
   let was_enabled = Obs.Metrics.enabled () in
@@ -77,6 +80,14 @@ let test_solves_skipped_counter () =
       Obs.Metrics.set_enabled was_enabled)
   @@ fun () ->
   let t = P.run ~criterion ~points_per_decade:10 ~certify:true (benchmark "tow-thomas") in
+  Alcotest.(check (option int)) "Pipeline.run consumes no certificate" None
+    (List.assoc_opt "certify.solves_skipped" (Obs.Metrics.snapshot ()).Obs.Metrics.counters);
+  let views = Array.to_list t.P.matrix.Matrix.views in
+  let cube = Option.map C.verdict_cube t.P.certify in
+  let m, _ =
+    Mcdft_core.Adaptive.build ?certified:cube ~criterion t.P.grid views t.P.faults
+  in
+  Alcotest.(check bool) "detect bitwise equal" true (m.Matrix.detect = t.P.matrix.Matrix.detect);
   let snap = Obs.Metrics.snapshot () in
   let counter name =
     match List.assoc_opt name snap.Obs.Metrics.counters with

@@ -103,14 +103,14 @@ let test_prefilter_structure () =
 
 (* Skipping the pairs the pre-pass marks would leave the campaign's
    matrix identical: every marked pair must already read "not
-   detected" with ω 0, under every criterion family. (leapfrog5 breaks
-   this under fixed:0.1 — its structurally dead views C56, C57 and C185
-   report round-off detections; see ROADMAP item 1.) *)
+   detected" with ω 0, under every criterion family — on leapfrog5 too,
+   whose structurally dead views C56, C57 and C185 reported round-off
+   detections under fixed:0.1 until the campaign decided dead views
+   structurally. *)
 let test_prefilter_matrix_identical () =
-  let b = Circuits.Tow_thomas.make () in
   List.iter
-    (fun criterion ->
-      let t = P.run ~criterion ~points_per_decade:8 b in
+    (fun (b, ppd, criterion) ->
+      let t = P.run ~criterion ~points_per_decade:ppd b in
       let m = t.P.matrix in
       let det = D.analyse ~faults:t.P.faults t.P.dft in
       Alcotest.(check (array string)) "same rows"
@@ -133,11 +133,13 @@ let test_prefilter_matrix_identical () =
               end)
             row)
         det.D.undetectable)
-    [
-      P.default_criterion;
-      Testability.Detect.Fixed_tolerance 0.1;
-      Testability.Detect.Phase_fixed 0.1;
-    ]
+    (let tt = Circuits.Tow_thomas.make () in
+     [
+       (tt, 8, P.default_criterion);
+       (tt, 8, Testability.Detect.Fixed_tolerance 0.1);
+       (tt, 8, Testability.Detect.Phase_fixed 0.1);
+       (Circuits.Leapfrog.make (), 30, Testability.Detect.Fixed_tolerance 0.1);
+     ])
 
 let test_prefilter_prunes_many_pairs () =
   let b = Circuits.Cascade.tow_thomas_pair () in
